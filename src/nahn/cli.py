@@ -199,6 +199,9 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
                     float(diagram.boundary_residual[i, j]),
                 )
             )
+    extra = {}
+    if not topo.boundary_residual_applies(cfg.model.dL, cfg.model.dR):
+        extra["boundary_residual"] = "NaN: its closed form holds only for dL.dR = 0 at t0 = 1"
     header = build_header(
         "phase-diagram",
         eff,
@@ -207,6 +210,7 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         kpoints=cfg.kpoints,
         nu_sentinel=topo.NU_SENTINEL,
         tolerances={"integrality": topo.INTEGRALITY_TOL},
+        **extra,
     )
     write_table(out, fmt, header, ["tL", "tR", "nu", "gamma", "boundary_residual"], rows)
 

@@ -10,7 +10,10 @@ branch-cut bookkeeping.
 
 from __future__ import annotations
 
+import ctypes
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,17 @@ NU_SENTINEL = 127
 
 STANDARD_DL = GaugeVector(0.0, 0.0, 1.0)
 STANDARD_DR = GaugeVector(1.0, 0.0, 0.0)
+
+#: ``|dL . dR|`` up to which ``phase_boundary_residual``'s closed form applies.
+ORTHOGONAL_DIRECTIONS_TOL = 1e-12
+
+#: Thread-count getter and setter of each OpenBLAS build: numpy's 64-bit-integer
+#: scipy-openblas, the 32-bit-integer scipy-openblas, and a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 @dataclass(frozen=True)
@@ -155,15 +169,22 @@ def spectral_winding(p: ModelParams, E0: complex, grid: KGrid | None = None) -> 
     """Point-gap winding number of the Bloch spectrum around ``E0``."""
     grid = _require_topology_grid(grid or KGrid())
     _check_reference_energy(p, E0, grid)
-    H = bloch_hamiltonian(p, grid.values) - E0 * np.eye(2)
+    return _winding_of_samples(p, E0, grid, bloch_hamiltonian(p, grid.values))
+
+
+def _winding_of_samples(p: ModelParams, E0: complex, grid: KGrid, H: np.ndarray) -> int:
+    """w(E0) from the Bloch samples ``H`` of ``p`` on ``grid``.
+
+    On an integrality-guard trip the samples are rebuilt once on the refined
+    grid, as in :func:`braiding_degree`.
+    """
     try:
-        return _guarded_integer_winding(_det2(H), "spectral winding")
+        return _guarded_integer_winding(_det2(H - E0 * np.eye(2)), "spectral winding")
     except GridTooCoarseError:
         if grid.n_points >= REFINED_KPOINTS:
             raise
-    fine = grid.refined()
-    H = bloch_hamiltonian(p, fine.values) - E0 * np.eye(2)
-    return _guarded_integer_winding(_det2(H), "spectral winding")
+    H = bloch_hamiltonian(p, grid.refined().values)
+    return _guarded_integer_winding(_det2(H - E0 * np.eye(2)), "spectral winding")
 
 
 def spectral_winding_profile(
@@ -180,8 +201,14 @@ def spectral_winding_profile(
     ``pad`` (a fraction of each box dimension). Probes closer than
     ``min_distance`` to the spectral curve are skipped. Returns a list of
     ``(E0, w)`` pairs with ``w = None`` for skipped probes.
+
+    Each evaluated probe gives the same ``w`` as :func:`spectral_winding`.
+    The Bloch samples are built once for all probes, and the skip already
+    keeps every probe at least ``SPECTRUM_DISTANCE_TOL`` off the spectrum,
+    so no per-probe distance check is repeated.
     """
     grid = _require_topology_grid(grid or KGrid())
+    H = bloch_hamiltonian(p, grid.values)
     e_plus, e_minus = analytic_eigenvalues(p, grid.values)
     spectrum = np.concatenate([e_plus, e_minus])
     re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
@@ -195,7 +222,7 @@ def spectral_winding_profile(
             if np.min(np.abs(spectrum - E0)) < max(min_distance, SPECTRUM_DISTANCE_TOL):
                 out.append((E0, None))
                 continue
-            out.append((E0, spectral_winding(p, E0, grid)))
+            out.append((E0, _winding_of_samples(p, E0, grid, H)))
     return out
 
 
@@ -230,14 +257,21 @@ def phase_boundary_residual(tL: float, tR: float) -> float:
     """Residual of the exceptional-point boundary condition at t0 = 1.
 
     Zero crossings along a parameter path locate braiding phase
-    boundaries. At ``tL**2 == tR**2`` the expression degenerates; callers
-    treat that as on-boundary.
+    boundaries. The closed form holds only for orthogonal directions
+    (``dL . dR = 0``, see :func:`boundary_residual_applies`). At
+    ``tL**2 == tR**2`` the expression degenerates; callers treat that as
+    on-boundary.
     """
     denom = tL * tL - tR * tR
     if denom == 0.0:
         raise PhaseBoundaryError(f"degenerate denominator: tL^2 == tR^2 at ({tL}, {tR})")
     s = tL * tL + tR * tR
     return 1.0 + s * (2.0 * tR * tR / denom**2 - 1.0) + 2.0 * tR * tR / denom
+
+
+def boundary_residual_applies(dL: GaugeVector, dR: GaugeVector) -> bool:
+    """Whether :func:`phase_boundary_residual` describes a sweep along ``dL``, ``dR``."""
+    return abs(dL.dot(dR)) <= ORTHOGONAL_DIRECTIONS_TOL
 
 
 def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_TOL) -> np.ndarray:
@@ -261,7 +295,8 @@ class PhaseDiagram:
 
     ``nu[i, j]`` belongs to ``(tL_axis[i], tR_axis[j])``; rejected cells
     carry ``NU_SENTINEL``. ``boundary_residual`` is NaN where the residual
-    formula degenerates.
+    formula degenerates, and everywhere when it does not apply to the
+    sweep's directions.
     """
 
     tL_axis: np.ndarray
@@ -272,6 +307,66 @@ class PhaseDiagram:
 
     def nearest_cell(self, tL: float, tR: float) -> tuple:
         return int(np.argmin(np.abs(self.tL_axis - tL))), int(np.argmin(np.abs(self.tR_axis - tR)))
+
+
+def _openblas_thread_controls() -> list:
+    """``(get, set)`` thread-count functions of each OpenBLAS mapped into this process.
+
+    Empty where none is found: another BLAS (MKL, Accelerate), or a platform
+    without ``/proc/self/maps``.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = (line.split(maxsplit=5) for line in maps)
+            paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get_n, set_n = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get_n is not None and set_n is not None:
+                get_n.argtypes, get_n.restype = [], ctypes.c_int
+                set_n.argtypes, set_n.restype = [ctypes.c_int], None
+                controls.append((get_n, set_n))
+                break
+    return controls
+
+
+# The BLAS thread count is process-wide, so overlapping sweeps share one hold:
+# the first to enter pins the count and the last to leave restores it.
+_blas_hold_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list = []
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Hold the loaded OpenBLAS at one thread, then restore its previous count.
+
+    A phase-diagram sweep parallelizes over cells; BLAS threads under its
+    pool would oversubscribe the cores, and the dense eigensolver's last
+    digits depend on the BLAS thread count. Without OpenBLAS this does nothing.
+    """
+    global _blas_holders, _blas_saved
+    with _blas_hold_lock:
+        if _blas_holders == 0:
+            _blas_saved = [(set_n, get_n()) for get_n, set_n in _openblas_thread_controls()]
+            for set_n, _ in _blas_saved:
+                set_n(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_hold_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_n, count in _blas_saved:
+                    set_n(count)
 
 
 def compute_phase_diagram(
@@ -288,9 +383,12 @@ def compute_phase_diagram(
 
     Each cell gets the braiding degree (sentinel on rejection), the
     boundary-density contrast of an open chain with ``chain_N`` sites, and
-    the boundary residual (NaN at its poles). Cells are independent; they
-    are dispatched to a thread pool and written back by index, so the
-    output does not depend on scheduling order.
+    the boundary residual (NaN at its poles, and everywhere unless
+    :func:`boundary_residual_applies`). Cells are independent; they are
+    dispatched to a thread pool of ``threads`` workers and written back by
+    index. The loaded OpenBLAS runs on one thread for the length of the
+    sweep, so the pool is its only parallelism and the output does not
+    depend on the pool width or the BLAS thread setting.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not lo >= 0.0 or hi <= lo:
@@ -304,6 +402,8 @@ def compute_phase_diagram(
     gam = np.full((resolution, resolution), np.nan)
     res = np.full((resolution, resolution), np.nan)
 
+    residual_applies = boundary_residual_applies(dL, dR)
+
     def cell(idx):
         i, j = idx
         p = ModelParams(t0=1.0, tL=float(axis[i]), tR=float(axis[j]), dL=dL, dR=dR)
@@ -312,7 +412,7 @@ def compute_phase_diagram(
         except NumericalError:
             nu_ij = NU_SENTINEL
         try:
-            res_ij = phase_boundary_residual(axis[i], axis[j])
+            res_ij = phase_boundary_residual(axis[i], axis[j]) if residual_applies else np.nan
         except PhaseBoundaryError:
             res_ij = np.nan
         try:
@@ -326,7 +426,7 @@ def compute_phase_diagram(
     if threads is not None and threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     done = 0
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
         for i, j, nu_ij, gam_ij, res_ij in pool.map(cell, indices):
             nu[i, j] = nu_ij
             gam[i, j] = gam_ij

@@ -1,6 +1,7 @@
 """Config parsing, output files, CLI commands and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -9,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nahn
 from nahn import eig_dense
 from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ConfigError
 from nahn.output import spectrum_table, write_table
+from nahn.topology import _openblas_thread_controls
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -151,6 +154,55 @@ class TestPhaseDiagramCommand:
         assert columns == ["tL", "tR", "nu", "gamma", "boundary_residual"]
         assert len(data["tL"]) == 64
         assert set(np.unique(data["nu"])) <= {-2.0, 0.0, 2.0, 127.0}
+
+    def test_residual_header_for_non_orthogonal_directions(self, tmp_path):
+        text = (
+            "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0.6,0,0.8]\ndR = [1,0,0]\n"
+            "t_min = 0.0\nt_max = 4.0\nresolution = 8\nchain_N = 10\nkpoints = 128\n"
+        )
+        out = tmp_path / "general.csv"
+        assert main(["phase-diagram", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
+        header, _, data = read_csv(out)
+        assert "dL.dR = 0" in header["boundary_residual"]
+        assert np.all(np.isnan(data["boundary_residual"]))
+        standard = tmp_path / "standard.csv"
+        cfg = write_cfg(tmp_path, text.replace("[0.6,0,0.8]", "[0,0,1]"), name="standard.cfg")
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(standard)]) == 0
+        header, _, data = read_csv(standard)
+        assert "boundary_residual" not in header
+        assert np.isfinite(data["boundary_residual"]).sum() == 64 - 8
+
+    @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS with thread-count symbols is loaded")
+    def test_output_independent_of_thread_settings(self, tmp_path):
+        # chain_N = 100 makes 200x200 solves, large enough for OpenBLAS to
+        # use its threads when it is allowed to
+        cfg = write_cfg(
+            tmp_path,
+            "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0,0,1]\ndR = [1,0,0]\n"
+            "t_min = 0.0\nt_max = 4.0\nresolution = 8\nchain_N = 100\nkpoints = 1024\n",
+        )
+        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+        src = str(Path(nahn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        settings = {
+            "blas1": ({"OPENBLAS_NUM_THREADS": "1"}, []),
+            "threads1": ({}, ["--threads", "1"]),
+            "threads2": ({}, ["--threads", "2"]),
+        }
+        outputs = {}
+        for name, (extra_env, extra_args) in settings.items():
+            out = tmp_path / f"{name}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "nahn", "phase-diagram", "--config", str(cfg), "--out", str(out),
+                 *extra_args],
+                env={**env, **extra_env},
+                capture_output=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs[name] = out.read_bytes()
+        assert outputs["threads1"] == outputs["blas1"]
+        assert outputs["threads2"] == outputs["blas1"]
 
     def test_circuit_config_rejected(self, tmp_path):
         code = main([

@@ -1,9 +1,11 @@
 """Braiding degree, point-gap windings, phase boundaries and the diagram sweep."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import DR, params
+from conftest import DR, params, random_unit_vector
 from nahn import (
     KGrid,
     PhaseBoundaryError,
@@ -23,7 +25,7 @@ from nahn import (
     winding_number,
 )
 from nahn.errors import NumericalError
-from nahn.topology import NU_SENTINEL
+from nahn.topology import NU_SENTINEL, _openblas_thread_controls
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -131,6 +133,19 @@ class TestSpectralWinding:
         e_plus, _ = analytic_eigenvalues(p1, 0.0)
         with pytest.raises(ReferenceOnSpectrumError):
             spectral_winding(p1, complex(e_plus))
+
+    def test_profile_matches_per_probe_winding(self):
+        rng = np.random.default_rng(31)
+        for _ in range(6):
+            p = params(rng.uniform(0.5, 2.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                       random_unit_vector(rng), random_unit_vector(rng))
+            assert p.dL.dot(p.dR) != 0.0 and p.t0 != 1.0
+            grid = KGrid(256)
+            probes = spectral_winding_profile(p, 12, 12, pad=0.1, grid=grid)
+            evaluated = [(E0, w) for E0, w in probes if w is not None]
+            assert len(evaluated) > 100
+            for E0, w in evaluated:
+                assert w == spectral_winding(p, E0, grid)
 
     def test_direction_reversal_negates(self, p3):
         E0 = -2.0 + 0.0j
@@ -305,3 +320,70 @@ class TestPhaseDiagram:
             compute_phase_diagram((2.0, 1.0), 8, chain_N=10)
         with pytest.raises(ValidationError):
             compute_phase_diagram((0.0, 4.0), 4, chain_N=10)
+
+
+@pytest.fixture
+def blas_threads():
+    """Reader of the loaded OpenBLAS thread counts, each set to 2 for the test."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS with thread-count symbols is loaded in this process")
+    saved = [get_n() for get_n, _ in controls]
+    for _, set_n in controls:
+        set_n(2)
+    yield lambda: [get_n() for get_n, _ in controls]
+    for (_, set_n), count in zip(controls, saved):
+        set_n(count)
+
+
+class TestSweepBlasThreads:
+    SWEEP = dict(t_range=(0.0, 2.0), resolution=8, chain_N=10, grid=KGrid(128), threads=2)
+
+    def test_single_threaded_during_sweep_then_restored(self, blas_threads):
+        assert set(blas_threads()) == {2}
+        seen = []
+        compute_phase_diagram(**self.SWEEP, progress=lambda done, total: seen.append(blas_threads()))
+        assert len(seen) == 8 and all(set(counts) == {1} for counts in seen)
+        assert set(blas_threads()) == {2}
+
+    def test_restored_when_sweep_raises(self, blas_threads):
+        def fail(done, total):
+            raise RuntimeError("stop after the first row")
+
+        with pytest.raises(RuntimeError):
+            compute_phase_diagram(**self.SWEEP, progress=fail)
+        assert set(blas_threads()) == {2}
+
+    def test_overlapping_sweeps_restore_once_both_end(self, blas_threads):
+        # first sweep ends while the second still runs: the second must stay
+        # pinned, and the count returns to 2 only when it ends too
+        second_inside, first_done = threading.Event(), threading.Event()
+        seen_by_second, errors = [], []
+
+        def second_progress(done, total):
+            if done == 1:
+                second_inside.set()
+                assert first_done.wait(30)
+            seen_by_second.append(blas_threads())
+
+        def second():
+            try:
+                compute_phase_diagram(**self.SWEEP, progress=second_progress)
+            except BaseException as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        worker = threading.Thread(target=second)
+
+        def first_progress(done, total):
+            if done == 1:
+                worker.start()
+                assert second_inside.wait(30)
+
+        compute_phase_diagram(**self.SWEEP, progress=first_progress)
+        after_first = blas_threads()
+        first_done.set()
+        worker.join(30)
+        assert not worker.is_alive() and not errors
+        assert set(after_first) == {1}
+        assert all(set(counts) == {1} for counts in seen_by_second)
+        assert set(blas_threads()) == {2}
