@@ -24,6 +24,7 @@ from .model import (
     BoundaryCondition,
     GaugeVector,
     ModelParams,
+    chain_matrix,
 )
 
 NF = 1e-9
@@ -183,23 +184,12 @@ def circuit_chain(
     uniform at every site (the per-node LCR grounding compensates the
     missing neighbors of the edge sites).
     """
-    if N < 2:
-        raise ValidationError(f"circuit chain needs at least 2 sites, got N={N}")
     w = c.drive_frequency() if omega is None else float(omega)
     m0, m1 = m_coefficients(c, w, include_r0)
     on = 1j * w * (m0 * SIGMA_0 + c.C0 * NF * SIGMA_X)
     left = 1j * w * (m1 * (SIGMA_0 - SIGMA_Z) + c.C1 * NF * SIGMA_Z)
     right = 1j * w * (c.C2 * NF * SIGMA_X)
-    J = np.zeros((2 * N, 2 * N), dtype=complex)
-    for n in range(N):
-        J[2 * n : 2 * n + 2, 2 * n : 2 * n + 2] = on
-    for n in range(N - 1):
-        J[2 * n : 2 * n + 2, 2 * n + 2 : 2 * n + 4] = left
-        J[2 * n + 2 : 2 * n + 4, 2 * n : 2 * n + 2] = right
-    if bc is BoundaryCondition.PBC:
-        J[2 * (N - 1) : 2 * N, 0:2] = left
-        J[0:2, 2 * (N - 1) : 2 * N] = right
-    return J
+    return chain_matrix(on, left, right, N, bc)
 
 
 def measure_admittance(J: np.ndarray, protocol: MeasurementProtocol) -> np.ndarray:
@@ -226,12 +216,11 @@ def measure_admittance(J: np.ndarray, protocol: MeasurementProtocol) -> np.ndarr
         n_sites = n // 2
         if n_sites < 3:
             raise ValidationError("unit-cell protocol needs at least 3 sites")
-        col = G[:, 0:2]
-        G = np.zeros_like(G)
-        for i in range(n_sites):
-            for j in range(n_sites):
-                src = 2 * ((i - j) % n_sites)
-                G[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = col[src : src + 2, :]
+        i = np.arange(n_sites)
+        cells = (i[:, None] - i[None, :]) % n_sites
+        # block (i, j) of the ring response is the first block column's block i - j
+        blocks = G[:, 0:2].reshape(n_sites, 2, 2)[cells]
+        G = blocks.transpose(0, 2, 1, 3).reshape(n, n)
     return np.linalg.inv(G)
 
 

@@ -64,6 +64,13 @@ def _require_chain(cfg: RunConfig) -> int:
     return cfg.chain_N
 
 
+BAND_COLUMNS = ["k", "band", "re_E", "im_E"]
+EIGENVALUE_COLUMNS = ["index", "re_E", "im_E"]
+RAW_COLUMNS = ["re_j_S", "im_j_S"]
+STATE_COLUMNS = ["state_index", "re_E", "im_E", "site", "density"]
+PHASE_COLUMNS = ["tL", "tR", "nu", "gamma", "boundary_residual"]
+
+
 def _eig_pairs(samples: np.ndarray) -> np.ndarray:
     """Closed-form eigenvalue pairs of stacked 2x2 matrices."""
     half_tr = 0.5 * (samples[:, 0, 0] + samples[:, 1, 1])
@@ -76,10 +83,27 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
 
 
-def _band_rows(k_values, traj, raw_scale: complex | None):
-    """Rows (k, band, re_E, im_E[, re_j_S, im_j_S]) in k-major order."""
+def _nu(invariant, *args) -> dict:
+    """Header fields for the braiding degree, or for the reason it failed."""
+    try:
+        return {"nu": invariant(*args)}
+    except NumericalError as exc:
+        return {"nu": None, "nu_error": str(exc)}
+
+
+def _write_bands(out: Path, fmt: str, command: str, eff: dict, grid, pairs, raw_scale=None, **extra) -> None:
+    """Continuity-sort band pairs and write them k-major as (k, band, re_E, im_E).
+
+    With ``raw_scale`` each row also carries the eigenvalue times that
+    scale as (re_j_S, im_j_S).
+    """
+    traj = sort_bands_by_continuity(grid.values, pairs)
+    header = build_header(
+        command, eff, kpoints=grid.n_points, band_swap=traj.band_swap,
+        tolerances={"integrality": topo.INTEGRALITY_TOL}, **extra,
+    )
     rows = []
-    for j, k in enumerate(k_values):
+    for j, k in enumerate(grid.values):
         for b in (0, 1):
             e = traj.bands[b, j]
             row = [float(k), b, float(e.real), float(e.imag)]
@@ -87,6 +111,28 @@ def _band_rows(k_values, traj, raw_scale: complex | None):
                 raw = e * raw_scale
                 row += [float(raw.real), float(raw.imag)]
             rows.append(tuple(row))
+    columns = BAND_COLUMNS if raw_scale is None else BAND_COLUMNS + RAW_COLUMNS
+    write_table(out, fmt, header, columns, rows)
+
+
+def _write_loci(out: Path, fmt: str, command: str, eff: dict, grid, loci, drive: float, **extra) -> None:
+    """Band table of admittance loci (siemens), shown in nF through 1/(i omega NF)."""
+    pairs = _eig_pairs(loci * (1.0 / (1j * drive * cct.NF)))
+    _write_bands(
+        out, fmt, command, eff, grid, pairs, 1j * drive * cct.NF,
+        omega_rad_s=drive, eigenvalue_units="nF",
+        **_nu(topo.braiding_degree_of_samples, loci), **extra,
+    )
+
+
+def _eigenvalue_rows(shown: np.ndarray, raw: np.ndarray | None = None):
+    """Rows (index, re_E, im_E[, re_j_S, im_j_S]) in canonical order of ``shown``."""
+    rows = []
+    for i, j in enumerate(_canonical_order(shown)):
+        row = (int(i), float(shown[j].real), float(shown[j].imag))
+        if raw is not None:
+            row += (float(raw[j].real), float(raw[j].imag))
+        rows.append(row)
     return rows
 
 
@@ -96,73 +142,32 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.model is not None:
         if cfg.boundary is BoundaryCondition.PBC:
             e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
-            traj = sort_bands_by_continuity(grid.values, np.column_stack([e_plus, e_minus]))
-            extra = {
-                "kpoints": cfg.kpoints,
-                "band_swap": traj.band_swap,
-                "ep_tol": cfg.ep_tol,
-                "exceptional_k": [float(k) for k in topo.exceptional_scan(cfg.model, grid, cfg.ep_tol)],
-                "tolerances": {"integrality": topo.INTEGRALITY_TOL},
-            }
-            try:
-                extra["nu"] = topo.braiding_degree(cfg.model, grid)
-            except NumericalError as exc:
-                extra["nu"] = None
-                extra["nu_error"] = str(exc)
-            header = build_header("spectrum", eff, **extra)
-            write_table(out, fmt, header, ["k", "band", "re_E", "im_E"], _band_rows(grid.values, traj, None))
+            _write_bands(
+                out, fmt, "spectrum", eff, grid, np.column_stack([e_plus, e_minus]),
+                ep_tol=cfg.ep_tol,
+                exceptional_k=[float(k) for k in topo.exceptional_scan(cfg.model, grid, cfg.ep_tol)],
+                **_nu(topo.braiding_degree, cfg.model, grid),
+            )
         else:
             N = _require_chain(cfg)
             spec = eig_dense(real_space_hamiltonian(cfg.model, N, BoundaryCondition.OBC), eigenvectors=False)
-            order = _canonical_order(spec.eigenvalues)
-            rows = [
-                (int(i), float(spec.eigenvalues[j].real), float(spec.eigenvalues[j].imag))
-                for i, j in enumerate(order)
-            ]
             header = build_header("spectrum", eff, chain_N=N)
-            write_table(out, fmt, header, ["index", "re_E", "im_E"], rows)
+            write_table(out, fmt, header, EIGENVALUE_COLUMNS, _eigenvalue_rows(spec.eigenvalues))
         return
 
     c = cfg.circuit
     drive = c.drive_frequency()
     include_r0 = not cfg.zero_r0
-    norm = 1.0 / (1j * drive * cct.NF)
     if cfg.boundary is BoundaryCondition.PBC:
         loci = cct.admittance_bloch(c, drive, grid.values, include_r0=include_r0)
-        traj = sort_bands_by_continuity(grid.values, _eig_pairs(loci * norm))
-        extra = {"kpoints": cfg.kpoints, "omega_rad_s": drive, "band_swap": traj.band_swap,
-                 "eigenvalue_units": "nF", "tolerances": {"integrality": topo.INTEGRALITY_TOL}}
-        try:
-            extra["nu"] = topo.braiding_degree_of_samples(loci)
-        except NumericalError as exc:
-            extra["nu"] = None
-            extra["nu_error"] = str(exc)
-        header = build_header("spectrum", eff, **extra)
-        write_table(
-            out,
-            fmt,
-            header,
-            ["k", "band", "re_E", "im_E", "re_j_S", "im_j_S"],
-            _band_rows(grid.values, traj, 1j * drive * cct.NF),
-        )
+        _write_loci(out, fmt, "spectrum", eff, grid, loci, drive)
     else:
         N = _require_chain(cfg)
         J = cct.circuit_chain(c, N, BoundaryCondition.OBC, omega=drive, include_r0=include_r0)
-        spec = eig_dense(J, eigenvectors=False)
-        normalized = spec.eigenvalues * norm
-        order = _canonical_order(normalized)
-        rows = [
-            (
-                int(i),
-                float(normalized[j].real),
-                float(normalized[j].imag),
-                float(spec.eigenvalues[j].real),
-                float(spec.eigenvalues[j].imag),
-            )
-            for i, j in enumerate(order)
-        ]
+        raw = eig_dense(J, eigenvectors=False).eigenvalues
         header = build_header("spectrum", eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF")
-        write_table(out, fmt, header, ["index", "re_E", "im_E", "re_j_S", "im_j_S"], rows)
+        rows = _eigenvalue_rows(raw * (1.0 / (1j * drive * cct.NF)), raw)
+        write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, rows)
 
 
 def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -212,7 +217,7 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         tolerances={"integrality": topo.INTEGRALITY_TOL},
         **extra,
     )
-    write_table(out, fmt, header, ["tL", "tR", "nu", "gamma", "boundary_residual"], rows)
+    write_table(out, fmt, header, PHASE_COLUMNS, rows)
 
 
 def _states_rows(states: sk.EigenstateSet, eigenvalues: np.ndarray, order: np.ndarray):
@@ -224,10 +229,6 @@ def _states_rows(states: sk.EigenstateSet, eigenvalues: np.ndarray, order: np.nd
                 (int(idx), float(e.real), float(e.imag), site + 1, float(states.densities[j, site]))
             )
     return rows
-
-
-def _report_path(out: Path, tag: str) -> Path:
-    return out.with_name(f"{out.stem}.{tag}.json")
 
 
 def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -255,10 +256,7 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         window_fraction=cfg.window_fraction,
         loc_threshold=cfg.loc_threshold,
     )
-    write_table(
-        out, fmt, header, ["state_index", "re_E", "im_E", "site", "density"],
-        _states_rows(states, shown, order),
-    )
+    write_table(out, fmt, header, STATE_COLUMNS, _states_rows(states, shown, order))
     payload = {
         "header": header,
         "gamma": report.gamma,
@@ -276,7 +274,7 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
             for idx, j in enumerate(order)
         ],
     }
-    write_report(_report_path(out, "report"), payload)
+    write_report(out.with_name(f"{out.stem}.report.json"), payload)
 
 
 def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -299,69 +297,24 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
         )
     except SingularNetworkError as exc:
         raise SingularNetworkError(f"{exc} (omega = {drive:.9e} rad/s)") from exc
-    norm = 1.0 / (1j * drive * cct.NF)
     noise_meta = {
         "sigma": None if noise is None else noise.component_rel_sigma,
         "seed": None if noise is None else noise.seed,
     }
-
-    grid = topo.KGrid(cfg.kpoints)
+    states = sk.eigenstates_from_matrix(J_rec)
+    shown = states.eigenvalues * (1.0 / (1j * drive * cct.NF))
+    meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol.value, "eigenvalue_units": "nF"}
     if protocol is cct.MeasurementProtocol.PBC_UNIT_CELL:
+        grid = topo.KGrid(cfg.kpoints)
         loci = cct.bloch_samples_from_chain(J_rec, grid.values)
-        traj = sort_bands_by_continuity(grid.values, _eig_pairs(loci * norm))
-        extra = {"kpoints": cfg.kpoints, "omega_rad_s": drive, "noise": noise_meta,
-                 "protocol": protocol.value, "band_swap": traj.band_swap, "eigenvalue_units": "nF",
-                 "tolerances": {"integrality": topo.INTEGRALITY_TOL}}
-        try:
-            extra["nu"] = topo.braiding_degree_of_samples(loci)
-        except NumericalError as exc:
-            extra["nu"] = None
-            extra["nu_error"] = str(exc)
-        header = build_header("measure", eff, **extra)
-        write_table(
-            out, fmt, header,
-            ["k", "band", "re_E", "im_E", "re_j_S", "im_j_S"],
-            _band_rows(grid.values, traj, 1j * drive * cct.NF),
-        )
-        states = sk.eigenstates_from_matrix(J_rec)
-        shown = states.eigenvalues * norm
-        sheader = build_header("measure", eff, chain_N=N, omega_rad_s=drive, noise=noise_meta,
-                               protocol=protocol.value, eigenvalue_units="nF")
-        write_table(
-            _states_path(out, fmt), fmt, sheader,
-            ["state_index", "re_E", "im_E", "site", "density"],
-            _states_rows(states, shown, _canonical_order(shown)),
-        )
+        _write_loci(out, fmt, "measure", eff, grid, loci, drive, noise=noise_meta, protocol=protocol.value)
+        header = build_header("measure", eff, chain_N=N, **meta)
     else:
-        states = sk.eigenstates_from_matrix(J_rec)
-        shown = states.eigenvalues * norm
         report = sk.classify_localization(states, cfg.window_fraction, cfg.loc_threshold)
-        order = _canonical_order(shown)
-        header = build_header(
-            "measure", eff, chain_N=N, omega_rad_s=drive, noise=noise_meta,
-            protocol=protocol.value, eigenvalue_units="nF",
-            gamma=report.gamma, bipolar=report.bipolar,
-        )
-        rows = [
-            (
-                int(i),
-                float(shown[j].real),
-                float(shown[j].imag),
-                float(states.eigenvalues[j].real),
-                float(states.eigenvalues[j].imag),
-            )
-            for i, j in enumerate(order)
-        ]
-        write_table(out, fmt, header, ["index", "re_E", "im_E", "re_j_S", "im_j_S"], rows)
-        write_table(
-            _states_path(out, fmt), fmt, header,
-            ["state_index", "re_E", "im_E", "site", "density"],
-            _states_rows(states, shown, order),
-        )
-
-
-def _states_path(out: Path, fmt: str) -> Path:
-    return out.with_name(out.stem + ".states." + fmt)
+        header = build_header("measure", eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
+        write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, _eigenvalue_rows(shown, states.eigenvalues))
+    rows = _states_rows(states, shown, _canonical_order(shown))
+    write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, STATE_COLUMNS, rows)
 
 
 COMMANDS = {

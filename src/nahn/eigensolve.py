@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import EigensolverError, ValidationError
 
-#: Residual bound ||M v - lambda v||_2 / max(1, ||M||_F) for returned pairs.
-RESIDUAL_BOUND = 1e-10
-
 #: Pairing ambiguity threshold for continuity sorting.
 NEAR_DEGENERACY_TOL = 1e-12
 

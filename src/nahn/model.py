@@ -169,6 +169,30 @@ def analytic_eigenvalues(p: ModelParams, k):
     return e_plus, -e_plus
 
 
+def chain_matrix(on, left, right, N: int, bc: BoundaryCondition) -> np.ndarray:
+    """Assemble the 2N x 2N block-tridiagonal matrix of a chain of 2x2 blocks.
+
+    ``on`` fills the diagonal, ``left`` the super-diagonal (site n -> n+1)
+    and ``right`` the sub-diagonal; periodic boundaries add ``left`` in the
+    bottom-left and ``right`` in the top-right corner. A ring needs at
+    least 3 sites, since with 2 the wrap blocks would land on the
+    neighbour blocks.
+    """
+    if N < 2:
+        raise ValidationError(f"chain needs at least 2 sites, got N={N}")
+    if bc is BoundaryCondition.PBC and N < 3:
+        raise ValidationError(f"periodic chain needs at least 3 sites, got N={N}")
+    M = np.zeros((N, 2, N, 2), dtype=complex)
+    n = np.arange(N)
+    M[n, :, n, :] = on
+    M[n[:-1], :, n[1:], :] = left
+    M[n[1:], :, n[:-1], :] = right
+    if bc is BoundaryCondition.PBC:
+        M[N - 1, :, 0, :] = left
+        M[0, :, N - 1, :] = right
+    return M.reshape(2 * N, 2 * N)
+
+
 def real_space_hamiltonian(p: ModelParams, N: int, bc: BoundaryCondition) -> np.ndarray:
     """Assemble the 2N x 2N chain matrix.
 
@@ -177,18 +201,7 @@ def real_space_hamiltonian(p: ModelParams, N: int, bc: BoundaryCondition) -> np.
     ``tR dR.s`` on the sub-diagonal; periodic boundaries add the two
     wrap-around blocks.
     """
-    if N < 2:
-        raise ValidationError(f"chain needs at least 2 sites, got N={N}")
     on = p.t0 * pauli_combination(p.dR)
     left = p.tL * pauli_combination(p.dL)
     right = p.tR * pauli_combination(p.dR)
-    H = np.zeros((2 * N, 2 * N), dtype=complex)
-    for n in range(N):
-        H[2 * n : 2 * n + 2, 2 * n : 2 * n + 2] = on
-    for n in range(N - 1):
-        H[2 * n : 2 * n + 2, 2 * n + 2 : 2 * n + 4] = left
-        H[2 * n + 2 : 2 * n + 4, 2 * n : 2 * n + 2] = right
-    if bc is BoundaryCondition.PBC:
-        H[2 * (N - 1) : 2 * N, 0:2] = left
-        H[0:2, 2 * (N - 1) : 2 * N] = right
-    return H
+    return chain_matrix(on, left, right, N, bc)

@@ -84,19 +84,3 @@ def write_report(path, payload: dict) -> Path:
     path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=1) + "\n", newline="\n")
     return path
 
-
-def spectrum_table(spectrum, k_values=None):
-    """Columns and rows for exporting a Spectrum.
-
-    Schema: ``k`` (only when ``k_values`` is given), ``re_E``, ``im_E``,
-    ``band_index``, ``residual``; the residual column is NaN when the
-    decomposition was computed without eigenvectors.
-    """
-    with_k = k_values is not None
-    columns = (["k"] if with_k else []) + ["re_E", "im_E", "band_index", "residual"]
-    rows = []
-    for i, lam in enumerate(spectrum.eigenvalues):
-        res = float(spectrum.residuals[i]) if spectrum.residuals is not None else float("nan")
-        row = ([float(k_values[i])] if with_k else []) + [float(lam.real), float(lam.imag), i, res]
-        rows.append(tuple(row))
-    return columns, rows

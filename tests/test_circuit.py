@@ -161,6 +161,26 @@ class TestCircuitChain:
         )
         assert multiset_match(ring, sampled) < 1e-8 * np.max(np.abs(ring))
 
+    def test_ring_blocks(self):
+        c = reference_circuit(20.0, 30.0)
+        w = 1.1 * resonance_frequency(c)
+        m0, m1 = m_coefficients(c, w)
+        on = 1j * w * (m0 * SIGMA_0 + c.C0 * NF * SIGMA_X)
+        left = 1j * w * (m1 * (SIGMA_0 - SIGMA_Z) + c.C1 * NF * SIGMA_Z)
+        right = 1j * w * (c.C2 * NF * SIGMA_X)
+        expected = np.block([
+            [on, left, right],
+            [right, on, left],
+            [left, right, on],
+        ])
+        assert np.array_equal(circuit_chain(c, 3, PBC, omega=w), expected)
+
+    def test_two_site_ring_rejected(self):
+        c = reference_circuit(20.0, 30.0)
+        with pytest.raises(ValidationError, match="at least 3 sites"):
+            circuit_chain(c, 2, PBC)
+        assert circuit_chain(c, 2, OBC).shape == (4, 4)
+
     def test_open_chain_keeps_uniform_grounding(self):
         J = circuit_chain(reference_circuit(12.0, 9.0), 5, OBC)
         for n in range(5):
@@ -207,6 +227,20 @@ class TestMeasurement:
         J = circuit_chain(c, 19, PBC)
         J_rec = simulated_measurement(c, 19, MeasurementProtocol.PBC_UNIT_CELL)
         assert np.linalg.norm(J_rec - J) < 1e-9 * np.linalg.norm(J)
+
+    def test_unit_cell_response_matches_loop_reference(self):
+        # an open chain is not block-circulant, so only the first block
+        # column of its response survives and the placement of every
+        # other block is pinned
+        J = circuit_chain(reference_circuit(20.0, 30.0), 5, OBC)
+        col = np.linalg.inv(J)[:, 0:2]
+        G = np.zeros((10, 10), dtype=complex)
+        for i in range(5):
+            for j in range(5):
+                src = 2 * ((i - j) % 5)
+                G[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = col[src : src + 2, :]
+        rec = measure_admittance(J, MeasurementProtocol.PBC_UNIT_CELL)
+        assert np.array_equal(rec, np.linalg.inv(G))
 
     def test_noiseless_round_trip_open(self):
         c = reference_circuit(12.0, 9.0)

@@ -11,11 +11,9 @@ import numpy as np
 import pytest
 
 import nahn
-from nahn import eig_dense
 from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ConfigError
-from nahn.output import spectrum_table, write_table
 from nahn.topology import _openblas_thread_controls
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -324,19 +322,3 @@ class TestDeterminismAndEntryPoint:
     def test_missing_config_file(self, tmp_path):
         assert main(["spectrum", "--config", str(tmp_path / "absent.cfg")]) == 2
 
-
-class TestSpectrumExport:
-    def test_residual_schema(self, tmp_path):
-        spec = eig_dense(np.diag([2.0 + 1j, -3.0, 0.5j]))
-        columns, rows = spectrum_table(spec)
-        assert columns == ["re_E", "im_E", "band_index", "residual"]
-        assert [r[2] for r in rows] == [0, 1, 2]
-        assert all(r[3] <= 1e-10 for r in rows)
-        out = write_table(tmp_path / "spec.csv", "csv", {"artifact": "nahn"}, columns, rows)
-        assert out.read_text().splitlines()[1] == "re_E,im_E,band_index,residual"
-
-    def test_k_column_when_given(self):
-        spec = eig_dense(np.eye(2, dtype=complex))
-        columns, rows = spectrum_table(spec, k_values=[0.0, np.pi])
-        assert columns[0] == "k"
-        assert rows[1][0] == pytest.approx(np.pi)

@@ -151,10 +151,25 @@ class TestRealSpaceHamiltonian:
         expected[0:2, 2:4] = SIGMA_Z
         expected[2:4, 0:2] = 3 * SIGMA_X
         assert np.array_equal(H, expected)
+        # ring of 3: on-site 2 sx, leftward sz above the diagonal, rightward
+        # 3 sx below it, and the two wrap blocks in the corners
+        X, Z = SIGMA_X, SIGMA_Z
+        H = real_space_hamiltonian(params(2.0, 1.0, 3.0), 3, BoundaryCondition.PBC)
+        expected = np.block([
+            [2 * X, Z, 3 * X],
+            [3 * X, 2 * X, Z],
+            [Z, 3 * X, 2 * X],
+        ])
+        assert np.array_equal(H, expected)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValidationError):
             real_space_hamiltonian(params(1, 1, 1), 1, BoundaryCondition.OBC)
+
+    def test_two_site_ring_rejected(self):
+        # with 2 sites the wrap blocks would land on the neighbour blocks
+        with pytest.raises(ValidationError, match="at least 3 sites"):
+            real_space_hamiltonian(params(1.0, 1.0, 3.0), 2, BoundaryCondition.PBC)
 
     def test_pbc_spectrum_equals_bloch_sampling(self):
         p = params(1.0, 1.0, 3.0)
