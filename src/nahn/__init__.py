@@ -30,7 +30,6 @@ from .eigensolve import (
 from .errors import (
     ConfigError,
     EigensolverError,
-    GridTooCoarseError,
     NahnError,
     NumericalError,
     OpenTrajectoryError,

@@ -99,8 +99,7 @@ def _write_bands(out: Path, fmt: str, command: str, eff: dict, grid, pairs, raw_
     """
     traj = sort_bands_by_continuity(grid.values, pairs)
     header = build_header(
-        command, eff, kpoints=grid.n_points, band_swap=traj.band_swap,
-        tolerances={"integrality": topo.INTEGRALITY_TOL}, **extra,
+        command, eff, kpoints=grid.n_points, band_swap=traj.band_swap, **extra,
     )
     rows = []
     for j, k in enumerate(grid.values):
@@ -120,7 +119,7 @@ def _write_loci(out: Path, fmt: str, command: str, eff: dict, grid, loci, drive:
     pairs = _eig_pairs(loci * (1.0 / (1j * drive * cct.NF)))
     _write_bands(
         out, fmt, command, eff, grid, pairs, 1j * drive * cct.NF,
-        omega_rad_s=drive, eigenvalue_units="nF",
+        omega_rad_s=drive, eigenvalue_units="nF", tolerances={"det_zero": topo.DET_ZERO_TOL},
         **_nu(topo.braiding_degree_of_samples, loci), **extra,
     )
 
@@ -144,9 +143,9 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
             e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
             _write_bands(
                 out, fmt, "spectrum", eff, grid, np.column_stack([e_plus, e_minus]),
-                ep_tol=cfg.ep_tol,
+                ep_tol=cfg.ep_tol, tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
                 exceptional_k=[float(k) for k in topo.exceptional_scan(cfg.model, grid, cfg.ep_tol)],
-                **_nu(topo.braiding_degree, cfg.model, grid),
+                **_nu(topo.braiding_degree, cfg.model),
             )
         else:
             N = _require_chain(cfg)
@@ -186,7 +185,6 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         (cfg.t_min, cfg.t_max),
         cfg.resolution,
         chain_N,
-        topo.KGrid(cfg.kpoints),
         dL=cfg.model.dL,
         dR=cfg.model.dR,
         threads=cfg.threads,
@@ -212,9 +210,8 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         eff,
         resolution=cfg.resolution,
         chain_N=chain_N,
-        kpoints=cfg.kpoints,
         nu_sentinel=topo.NU_SENTINEL,
-        tolerances={"integrality": topo.INTEGRALITY_TOL},
+        tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
         **extra,
     )
     write_table(out, fmt, header, PHASE_COLUMNS, rows)

@@ -21,12 +21,8 @@ class EigensolverError(NumericalError):
     """The dense eigensolver did not converge."""
 
 
-class GridTooCoarseError(NumericalError):
-    """Accumulated winding is too far from an integer; refine the momentum grid."""
-
-
 class PhaseBoundaryError(NumericalError):
-    """The tracked determinant vanished on the grid (exceptional point hit)."""
+    """The tracked determinant vanished on the momentum loop (exceptional point hit)."""
 
 
 class ReferenceOnSpectrumError(NumericalError):

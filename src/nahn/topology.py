@@ -2,10 +2,13 @@
 
 The braiding degree is the winding of ``det(H(k) - Tr H(k)/2)`` around the
 origin over one momentum cycle; the point-gap winding number w(E0) is the
-winding of ``det(H(k) - E0)``. Both are evaluated by accumulating phase
-differences of the determinant samples (each step bounded by pi in
-magnitude), which is exactly integer in the resolved limit and needs no
-branch-cut bookkeeping.
+winding of ``det(H(k) - E0)``. For model parameters both are counted
+exactly, without a k grid: ``H(k)`` is traceless, so with ``z = e^{ik}``
+``z^2 det(H - E0) = E0^2 z^2 - P(z)`` for a quartic ``P``, and by the
+argument principle each winding is the number of roots inside ``|z| < 1``
+minus the double pole at ``z = 0``. Loops given as samples (measured or
+circuit loci) are wound by accumulating the phase differences of their
+determinants, each step bounded by pi in magnitude.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import numpy as np
 
 from . import skin
 from .errors import (
-    GridTooCoarseError,
     NumericalError,
     OpenTrajectoryError,
     PhaseBoundaryError,
@@ -28,14 +30,12 @@ from .errors import (
     ValidationError,
 )
 from .eigensolve import BandTrajectories
-from .model import GaugeVector, ModelParams, analytic_eigenvalues, bloch_hamiltonian
+from .model import GaugeVector, ModelParams, analytic_eigenvalues
 
 DEFAULT_KPOINTS = 1024
-REFINED_KPOINTS = 4096
-MIN_KPOINTS = 64
 
-#: Accepted distance of the raw winding from the nearest integer.
-INTEGRALITY_TOL = 0.05
+#: Distance from ``|z| = 1`` within which a root puts a determinant zero on the loop.
+ROOT_CIRCLE_TOL = 1e-9
 
 #: Relative floor below which a determinant sample counts as a zero hit.
 DET_ZERO_TOL = 1e-12
@@ -78,17 +78,6 @@ class KGrid:
     def values(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
 
-    def refined(self) -> "KGrid":
-        return KGrid(max(4 * self.n_points, REFINED_KPOINTS))
-
-
-def _require_topology_grid(grid: KGrid) -> KGrid:
-    if grid.n_points < MIN_KPOINTS:
-        raise ValidationError(
-            f"topology computations need >= {MIN_KPOINTS} k points, got {grid.n_points}"
-        )
-    return grid
-
 
 def winding_number(values) -> float:
     """Raw winding of a closed loop of complex samples around the origin.
@@ -103,88 +92,79 @@ def winding_number(values) -> float:
     return float(np.sum(steps) / (2.0 * np.pi))
 
 
-def _guarded_integer_winding(det_samples: np.ndarray, what: str) -> int:
-    mags = np.abs(det_samples)
-    peak = mags.max()
-    if peak == 0.0 or mags.min() < DET_ZERO_TOL * peak:
-        raise PhaseBoundaryError(
-            f"{what}: determinant vanishes on the grid (exceptional point hit)"
-        )
-    raw = winding_number(det_samples)
-    if not np.isfinite(raw) or abs(raw - round(raw)) > INTEGRALITY_TOL:
-        raise GridTooCoarseError(
-            f"{what}: winding {raw:.4f} is not within {INTEGRALITY_TOL} of an integer; "
-            "grid too coarse"
-        )
-    return int(round(raw))
-
-
-def _det2(samples: np.ndarray) -> np.ndarray:
-    return samples[..., 0, 0] * samples[..., 1, 1] - samples[..., 0, 1] * samples[..., 1, 0]
-
-
 def braiding_degree_of_samples(H_samples) -> int:
     """Braiding degree from 2x2 matrix samples over one closed k loop.
 
     The trace is subtracted pointwise before taking the determinant, so any
     multiple of the identity added to the samples cancels. Useful when the
-    loop comes from measured data rather than model parameters.
+    loop comes from measured data rather than model parameters; the loop
+    must be sampled finely enough that the determinant's phase never
+    advances by more than pi per step.
     """
     H = np.asarray(H_samples, dtype=complex)
     if H.ndim != 3 or H.shape[1:] != (2, 2):
         raise ValidationError(f"expected samples of shape (n, 2, 2), got {H.shape}")
+    if not np.all(np.isfinite(H)):
+        raise ValidationError("samples contain non-finite entries")
     half_tr = 0.5 * (H[:, 0, 0] + H[:, 1, 1])
     shifted = H - half_tr[:, None, None] * np.eye(2)
-    return _guarded_integer_winding(_det2(shifted), "braiding degree")
+    det = shifted[:, 0, 0] * shifted[:, 1, 1] - shifted[:, 0, 1] * shifted[:, 1, 0]
+    mags = np.abs(det)
+    peak = mags.max()
+    if peak == 0.0 or mags.min() < DET_ZERO_TOL * peak:
+        raise PhaseBoundaryError(
+            "braiding degree: determinant vanishes on the grid (exceptional point hit)"
+        )
+    return int(round(winding_number(det)))
+
+
+def _quartic(p: ModelParams) -> np.ndarray:
+    """Coefficients, highest power first, of ``P(z) = -z^2 det H(k)`` at ``z = e^{ik}``."""
+    c = p.dL.dot(p.dR)
+    return np.array([
+        p.tL * p.tL,
+        2.0 * c * p.tL * p.t0,
+        p.t0 * p.t0 + 2.0 * c * p.tL * p.tR,
+        2.0 * p.t0 * p.tR,
+        p.tR * p.tR,
+    ])
+
+
+def _zeros_inside(coeffs: np.ndarray, error: type, what: str) -> int:
+    """Roots inside ``|z| < 1`` minus 2: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
+
+    Raises ``error`` when a root lies within ``ROOT_CIRCLE_TOL`` of the unit
+    circle or the polynomial vanishes identically, since the determinant
+    then vanishes on the loop.
+    """
+    if not np.any(coeffs):
+        raise error(f"{what}: determinant vanishes identically")
+    radii = np.abs(np.roots(coeffs))
+    if np.any(np.abs(radii - 1.0) < ROOT_CIRCLE_TOL):
+        raise error(f"{what}: determinant vanishes on the momentum loop (root on |z| = 1)")
+    return int(np.sum(radii < 1.0)) - 2
 
 
 def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
-    """Integer braiding degree of the two Bloch bands.
+    """Integer braiding degree of the two Bloch bands, by exact root count.
 
-    On an integrality-guard trip the grid is refined once (to at least
-    ``REFINED_KPOINTS``) before giving up; a determinant zero on the grid
-    raises immediately since it signals a phase boundary, not a resolution
-    problem.
+    ``grid`` is unused; it is accepted so that callers passing one keep
+    working. A determinant zero on the loop signals a phase boundary and
+    raises ``PhaseBoundaryError``.
     """
-    grid = _require_topology_grid(grid or KGrid())
-    H = bloch_hamiltonian(p, grid.values)
-    try:
-        return braiding_degree_of_samples(H)
-    except GridTooCoarseError:
-        if grid.n_points >= REFINED_KPOINTS:
-            raise
-    return braiding_degree_of_samples(bloch_hamiltonian(p, grid.refined().values))
-
-
-def _check_reference_energy(p: ModelParams, E0: complex, grid: KGrid) -> None:
-    e_plus, e_minus = analytic_eigenvalues(p, grid.values)
-    dist = min(np.min(np.abs(e_plus - E0)), np.min(np.abs(e_minus - E0)))
-    if dist < SPECTRUM_DISTANCE_TOL:
-        raise ReferenceOnSpectrumError(
-            f"reference energy {E0} lies on the spectrum (distance {dist:.2e})"
-        )
+    return _zeros_inside(_quartic(p), PhaseBoundaryError, "braiding degree")
 
 
 def spectral_winding(p: ModelParams, E0: complex, grid: KGrid | None = None) -> int:
-    """Point-gap winding number of the Bloch spectrum around ``E0``."""
-    grid = _require_topology_grid(grid or KGrid())
-    _check_reference_energy(p, E0, grid)
-    return _winding_of_samples(p, E0, grid, bloch_hamiltonian(p, grid.values))
+    """Point-gap winding number of the Bloch spectrum around ``E0``, by exact root count.
 
-
-def _winding_of_samples(p: ModelParams, E0: complex, grid: KGrid, H: np.ndarray) -> int:
-    """w(E0) from the Bloch samples ``H`` of ``p`` on ``grid``.
-
-    On an integrality-guard trip the samples are rebuilt once on the refined
-    grid, as in :func:`braiding_degree`.
+    ``grid`` is unused; it is accepted so that callers passing one keep
+    working. A reference energy on the spectrum raises
+    ``ReferenceOnSpectrumError``.
     """
-    try:
-        return _guarded_integer_winding(_det2(H - E0 * np.eye(2)), "spectral winding")
-    except GridTooCoarseError:
-        if grid.n_points >= REFINED_KPOINTS:
-            raise
-    H = bloch_hamiltonian(p, grid.refined().values)
-    return _guarded_integer_winding(_det2(H - E0 * np.eye(2)), "spectral winding")
+    coeffs = _quartic(p).astype(complex)
+    coeffs[2] -= complex(E0) ** 2
+    return _zeros_inside(coeffs, ReferenceOnSpectrumError, f"spectral winding at {E0}")
 
 
 def spectral_winding_profile(
@@ -202,13 +182,10 @@ def spectral_winding_profile(
     ``min_distance`` to the spectral curve are skipped. Returns a list of
     ``(E0, w)`` pairs with ``w = None`` for skipped probes.
 
-    Each evaluated probe gives the same ``w`` as :func:`spectral_winding`.
-    The Bloch samples are built once for all probes, and the skip already
-    keeps every probe at least ``SPECTRUM_DISTANCE_TOL`` off the spectrum,
-    so no per-probe distance check is repeated.
+    ``grid`` samples the spectrum for the box and the skip rule; each
+    evaluated probe's ``w`` comes from :func:`spectral_winding`.
     """
-    grid = _require_topology_grid(grid or KGrid())
-    H = bloch_hamiltonian(p, grid.values)
+    grid = grid or KGrid()
     e_plus, e_minus = analytic_eigenvalues(p, grid.values)
     spectrum = np.concatenate([e_plus, e_minus])
     re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
@@ -222,7 +199,7 @@ def spectral_winding_profile(
             if np.min(np.abs(spectrum - E0)) < max(min_distance, SPECTRUM_DISTANCE_TOL):
                 out.append((E0, None))
                 continue
-            out.append((E0, _winding_of_samples(p, E0, grid, H)))
+            out.append((E0, spectral_winding(p, E0)))
     return out
 
 
@@ -373,7 +350,6 @@ def compute_phase_diagram(
     t_range: tuple,
     resolution: int,
     chain_N: int,
-    grid: KGrid | None = None,
     dL: GaugeVector = STANDARD_DL,
     dR: GaugeVector = STANDARD_DR,
     threads: int | None = None,
@@ -395,7 +371,6 @@ def compute_phase_diagram(
         raise ValidationError(f"t range must satisfy 0 <= lo < hi, got ({lo}, {hi})")
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
-    grid = _require_topology_grid(grid or KGrid())
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
 
     nu = np.full((resolution, resolution), NU_SENTINEL, dtype=int)
@@ -408,7 +383,7 @@ def compute_phase_diagram(
         i, j = idx
         p = ModelParams(t0=1.0, tL=float(axis[i]), tR=float(axis[j]), dL=dL, dR=dR)
         try:
-            nu_ij = braiding_degree(p, grid)
+            nu_ij = braiding_degree(p)
         except NumericalError:
             nu_ij = NU_SENTINEL
         try:

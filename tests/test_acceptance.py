@@ -94,7 +94,7 @@ def test_criterion_01_braiding_phases():
 
 def test_criterion_02_phase_diagram_consistency():
     start = time.monotonic()
-    diagram = compute_phase_diagram((0.0, 4.0), 50, chain_N=40, grid=KGrid(1024))
+    diagram = compute_phase_diagram((0.0, 4.0), 50, chain_N=40)
     elapsed = time.monotonic() - start
 
     accepted = diagram.nu[diagram.nu != NU_SENTINEL]

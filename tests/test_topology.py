@@ -68,10 +68,6 @@ class TestBraidingDegree:
     def test_unlinked_point(self, p3):
         assert braiding_degree(p3) == 0
 
-    def test_grid_minimum_enforced(self, p1):
-        with pytest.raises(ValidationError):
-            braiding_degree(p1, KGrid(32))
-
     def test_zero_hit_raises(self):
         f = np.exp(1j * KGrid(128).values) - 1.0  # circle through the origin
         assert f[0] == 0.0
@@ -79,14 +75,36 @@ class TestBraidingDegree:
             braiding_degree_of_samples(loop_matrices(f))
 
     def test_closed_loops_give_exact_integers(self):
-        # accumulated phase differences telescope, so closed loops come out
-        # integer to rounding noise; the integrality guard is defensive
+        # principal phase steps around a closed loop sum to a multiple of
+        # 2 pi, so any finite closed loop comes out integer to rounding noise
         rng = np.random.default_rng(4)
         ks = KGrid(256).values
         for _ in range(10):
             f = np.exp(1j * rng.integers(-3, 4) * ks) * (1.5 + np.cos(ks) * rng.uniform(0, 1.4))
             raw = winding_number(f)
             assert abs(raw - round(raw)) < 1e-10
+
+    def test_non_finite_samples_rejected(self, p1):
+        H = bloch_hamiltonian(p1, KGrid(256).values)
+        for bad in (np.nan, np.inf):
+            samples = H.copy()
+            samples[17, 1, 0] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                braiding_degree_of_samples(samples)
+
+    def test_matches_finely_sampled_loop(self):
+        # the sampled path on measured loci stays an independent oracle of
+        # the root count on general directions and t0
+        rng = np.random.default_rng(5)
+        ks = KGrid(65536).values
+        for _ in range(12):
+            p = params(rng.uniform(0.5, 2.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                       random_unit_vector(rng), random_unit_vector(rng))
+            assert braiding_degree(p) == braiding_degree_of_samples(bloch_hamiltonian(p, ks))
+
+    def test_vanishing_polynomial_rejected(self):
+        with pytest.raises(PhaseBoundaryError):
+            braiding_degree(params(0.0, 0.0, 0.0))
 
     def test_doubling_grid_stable(self, p1, p2, p3):
         for p in (p1, p2, p3):
@@ -133,6 +151,33 @@ class TestSpectralWinding:
         e_plus, _ = analytic_eigenvalues(p1, 0.0)
         with pytest.raises(ReferenceOnSpectrumError):
             spectral_winding(p1, complex(e_plus))
+
+    def test_on_site_only_chain(self):
+        # tL = tR = 0: det(H - E0) = E0^2 - t0^2 for every k, so the
+        # polynomial either vanishes identically or has only z = 0 roots
+        p = params(1.3, 0.0, 0.0)
+        with pytest.raises(ReferenceOnSpectrumError):
+            spectral_winding(p, 1.3)
+        assert spectral_winding(p, 0.65) == 0
+
+    def test_profile_exact_on_coarse_grid(self):
+        # 64 k points are too few to wind the sampled determinant at every
+        # probe of these sets; the count must not depend on the grid and
+        # must match the roots of E0^2 z^2 - P(z) inside |z| < 1
+        rng = np.random.default_rng(0)
+        evaluated = 0
+        for _ in range(12):
+            p = params(rng.uniform(0.5, 2.0), rng.uniform(0.3, 3.0), rng.uniform(0.3, 3.0),
+                       random_unit_vector(rng), random_unit_vector(rng))
+            c = p.dL.dot(p.dR)
+            for E0, w in spectral_winding_profile(p, 30, 30, pad=0.1, grid=KGrid(64)):
+                if w is None:
+                    continue
+                poly = [-p.tL**2, -2 * c * p.tL * p.t0, E0**2 - p.t0**2 - 2 * c * p.tL * p.tR,
+                        -2 * p.t0 * p.tR, -p.tR**2]
+                assert w == np.sum(np.abs(np.roots(poly)) < 1.0) - 2
+                evaluated += 1
+        assert evaluated > 10000
 
     def test_profile_matches_per_probe_winding(self):
         rng = np.random.default_rng(31)
@@ -278,7 +323,7 @@ class TestExceptionalScan:
 class TestPhaseDiagram:
     def test_linked_cells_and_layers(self):
         # grid samples 0.5, 1.0, ..., 4.0 hit both linked points exactly
-        diagram = compute_phase_diagram((0.0, 4.0), 8, chain_N=40, grid=KGrid(512))
+        diagram = compute_phase_diagram((0.0, 4.0), 8, chain_N=40)
         i1, j1 = diagram.nearest_cell(1.0, 3.0)
         i2, j2 = diagram.nearest_cell(3.0, 1.0)
         assert diagram.tL_axis[i1] == 1.0 and diagram.tR_axis[j1] == 3.0
@@ -295,22 +340,22 @@ class TestPhaseDiagram:
 
     def test_balanced_cell_gamma_small(self):
         # samples 0.3, 0.6, ..., 2.4 include the bipolar point (1.2, 0.9)
-        diagram = compute_phase_diagram((0.0, 2.4), 8, chain_N=100, grid=KGrid(512))
+        diagram = compute_phase_diagram((0.0, 2.4), 8, chain_N=100)
         i, j = diagram.nearest_cell(1.2, 0.9)
         assert diagram.tL_axis[i] == pytest.approx(1.2) and diagram.tR_axis[j] == pytest.approx(0.9)
         assert abs(diagram.gamma[i, j]) < 0.2
         assert diagram.nu[i, j] == 0
 
     def test_thread_count_does_not_change_result(self):
-        a = compute_phase_diagram((0.0, 2.0), 8, chain_N=10, grid=KGrid(128), threads=1)
-        b = compute_phase_diagram((0.0, 2.0), 8, chain_N=10, grid=KGrid(128), threads=4)
+        a = compute_phase_diagram((0.0, 2.0), 8, chain_N=10, threads=1)
+        b = compute_phase_diagram((0.0, 2.0), 8, chain_N=10, threads=4)
         assert np.array_equal(a.nu, b.nu)
         assert np.array_equal(a.gamma, b.gamma)
 
     def test_progress_reported_per_row(self):
         seen = []
         compute_phase_diagram(
-            (0.0, 2.0), 8, chain_N=10, grid=KGrid(128),
+            (0.0, 2.0), 8, chain_N=10,
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(r, 8) for r in range(1, 9)]
@@ -337,7 +382,7 @@ def blas_threads():
 
 
 class TestSweepBlasThreads:
-    SWEEP = dict(t_range=(0.0, 2.0), resolution=8, chain_N=10, grid=KGrid(128), threads=2)
+    SWEEP = dict(t_range=(0.0, 2.0), resolution=8, chain_N=10, threads=2)
 
     def test_single_threaded_during_sweep_then_restored(self, blas_threads):
         assert set(blas_threads()) == {2}
