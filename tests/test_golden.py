@@ -1,0 +1,35 @@
+"""Every file of the golden runs matches the committed manifest (see tests/golden.py)."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nahn
+
+HERE = Path(__file__).resolve().parent
+MANIFEST = HERE / "golden" / "manifest.json"
+
+
+def test_golden_outputs_match_manifest():
+    # one BLAS thread, as the manifest was made: open-chain eigensolves of
+    # 47 and more sites change their last digits with the thread count
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    src = str(Path(nahn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(HERE / "golden.py")], env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    want = json.loads(MANIFEST.read_text())
+    for field, value in want["environment"].items():
+        if got["environment"].get(field) != value:
+            pytest.skip(f"manifest made with {field} {value!r}, this run has {got['environment'].get(field)!r}")
+    names = sorted(set(want["files"]) | set(got["files"]))
+    differing = [name for name in names if want["files"].get(name) != got["files"].get(name)]
+    assert not differing, f"{len(differing)} of {len(names)} files differ from the manifest, first: {differing[:10]}"
