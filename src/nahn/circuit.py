@@ -108,6 +108,12 @@ class MeasurementNoise:
     component_rel_sigma: float
     seed: int
 
+    def __post_init__(self):
+        if not (math.isfinite(self.component_rel_sigma) and self.component_rel_sigma >= 0.0):
+            raise ValidationError(f"noise sigma must be finite and >= 0, got {self.component_rel_sigma!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"noise seed must be a non-negative integer, got {self.seed!r}")
+
 
 def resonance_frequency(c: CircuitParams) -> float:
     """Drive frequency 1/sqrt(L1 C1) at which the off-resonance term vanishes."""

@@ -20,7 +20,7 @@ import numpy as np
 from . import circuit as cct
 from . import skin as sk
 from . import topology as topo
-from .config import RunConfig, load_config
+from .config import SETTINGS, RunConfig, load_config
 from .errors import (
     ConfigError,
     NumericalError,
@@ -326,14 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nahn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
+        # flags without a default are config-key overrides, absent unless given
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", required=True, help="key-value or JSON config file")
         p.add_argument("--out", default=None, help="output path (default: <command>.<format>)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--threads", type=int, default=None, help="sweep worker threads")
-        p.add_argument("--seed", type=int, default=None, help="noise seed override")
-        p.add_argument("--kpoints", type=int, default=None, help="momentum grid override")
-        p.add_argument("--ep-tol", type=float, default=None, help="exceptional-point tolerance override")
+        p.add_argument("--threads", type=int, help="sweep worker threads")
+        p.add_argument("--seed", type=int, help="noise seed override")
+        p.add_argument("--kpoints", type=int, help="momentum grid override")
+        p.add_argument("--ep-tol", type=float, help="exceptional-point tolerance override")
         p.add_argument("--zero-r0", action="store_true", help="drop the resistive on-site shift")
     return parser
 
@@ -341,17 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.kpoints is not None:
-            cfg.kpoints = args.kpoints
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.ep_tol is not None:
-            cfg.ep_tol = args.ep_tol
-        if args.threads is not None:
-            cfg.threads = args.threads
-        if args.zero_r0:
-            cfg.zero_r0 = True
+        cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in SETTINGS})
         out = Path(args.out) if args.out else Path(f"{args.command}.{args.format}")
         COMMANDS[args.command](cfg, out, args.format)
     except (ConfigError, ValidationError) as exc:

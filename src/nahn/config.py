@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .circuit import CircuitParams
@@ -13,33 +13,33 @@ from .model import BoundaryCondition, ModelParams
 
 MODEL_KEYS = {"t0", "tL", "tR", "dL", "dR"}
 CIRCUIT_KEYS = {"C0_nF", "C1_nF", "C2_nF", "L0_uH", "L1_uH", "R0_ohm", "omega_rad_s"}
-COMMON_KEYS = {
-    "kpoints",
-    "chain_N",
-    "boundary",
-    "t_min",
-    "t_max",
-    "resolution",
-    "seed",
-    "noise_sigma",
-    "window_fraction",
-    "loc_threshold",
-    "ep_tol",
-    "zero_r0",
-    "threads",
+
+#: Run settings either block may carry, with the type each value must have.
+SETTINGS = {
+    "kpoints": int,
+    "chain_N": int,
+    "boundary": BoundaryCondition,
+    "t_min": float,
+    "t_max": float,
+    "resolution": int,
+    "seed": int,
+    "noise_sigma": float,
+    "window_fraction": float,
+    "loc_threshold": float,
+    "ep_tol": float,
+    "zero_r0": bool,
+    "threads": int,
 }
-KNOWN_KEYS = MODEL_KEYS | CIRCUIT_KEYS | COMMON_KEYS
 
 
 @dataclass
 class RunConfig:
     """Validated parameters of one CLI run.
 
-    Exactly one of ``model`` / ``circuit`` is set. ``raw`` keeps the parsed
-    key-value mapping for provenance hashing.
+    Exactly one of ``model`` / ``circuit`` is set; the other fields are
+    the ``SETTINGS``.
     """
 
-    raw: dict = field(default_factory=dict)
     model: ModelParams | None = None
     circuit: CircuitParams | None = None
     kpoints: int = 1024
@@ -84,8 +84,25 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
+def _setting(key: str, kind: type, value):
+    """``value`` of setting ``key`` as ``kind``: ``true``/``false`` only for boolean
+    settings, and only integral numbers for integer settings (``100.0`` is 100)."""
+    if kind is BoundaryCondition:
+        name = str(value).upper()
+        if name not in ("PBC", "OBC"):
+            raise ConfigError(f"key {key!r}: expected PBC or OBC, got {value!r}")
+        return BoundaryCondition[name]
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) != (kind is bool) or fractional:
+        raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: cannot interpret {value!r} as {kind.__name__}") from exc
+
+
 def _coerce(raw: dict) -> RunConfig:
-    unknown = sorted(set(raw) - KNOWN_KEYS)
+    unknown = sorted(set(raw) - MODEL_KEYS - CIRCUIT_KEYS - set(SETTINGS))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
@@ -101,7 +118,7 @@ def _coerce(raw: dict) -> RunConfig:
         raise ConfigError("config must contain a model block (t0, tL, tR, dL, dR) "
                           "or a circuit block (C0_nF, C1_nF, C2_nF, L0_uH, L1_uH, R0_ohm)")
 
-    cfg = RunConfig(raw=dict(raw))
+    cfg = RunConfig()
     try:
         if model_present:
             missing = sorted(MODEL_KEYS - set(raw))
@@ -116,41 +133,18 @@ def _coerce(raw: dict) -> RunConfig:
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
-    def take(key, kind, current):
-        if key not in raw:
-            return current
-        value = raw[key]
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"key {key!r}: cannot interpret {value!r} as {kind.__name__}") from exc
-
-    cfg.kpoints = take("kpoints", int, cfg.kpoints)
-    cfg.chain_N = take("chain_N", int, cfg.chain_N)
-    cfg.t_min = take("t_min", float, cfg.t_min)
-    cfg.t_max = take("t_max", float, cfg.t_max)
-    cfg.resolution = take("resolution", int, cfg.resolution)
-    cfg.seed = take("seed", int, cfg.seed)
-    cfg.noise_sigma = take("noise_sigma", float, cfg.noise_sigma)
-    cfg.window_fraction = take("window_fraction", float, cfg.window_fraction)
-    cfg.loc_threshold = take("loc_threshold", float, cfg.loc_threshold)
-    cfg.ep_tol = take("ep_tol", float, cfg.ep_tol)
-    cfg.threads = take("threads", int, cfg.threads)
-
-    if "zero_r0" in raw:
-        if not isinstance(raw["zero_r0"], bool):
-            raise ConfigError(f"key 'zero_r0': expected true/false, got {raw['zero_r0']!r}")
-        cfg.zero_r0 = raw["zero_r0"]
-    if "boundary" in raw:
-        value = str(raw["boundary"]).upper()
-        if value not in ("PBC", "OBC"):
-            raise ConfigError(f"key 'boundary': expected PBC or OBC, got {raw['boundary']!r}")
-        cfg.boundary = BoundaryCondition[value]
+    for key, kind in SETTINGS.items():
+        if key in raw:
+            setattr(cfg, key, _setting(key, kind, raw[key]))
     return cfg
 
 
-def load_config(path) -> RunConfig:
-    """Read a config file; `.json` files hold the same keys as a JSON object."""
+def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """Read a config file; `.json` files hold the same keys as a JSON object.
+
+    ``overrides`` (command-line values) replace the file's values for the
+    same keys and pass the same checks.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -165,7 +159,7 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: top-level JSON value must be an object")
     else:
         raw = parse_kv_text(text)
-    return _coerce(raw)
+    return _coerce({**raw, **(overrides or {})})
 
 
 def config_hash(effective: dict) -> str:

@@ -50,9 +50,6 @@ class GaugeVector:
                 f"(|d|^2 - 1 = {self.x**2 + self.y**2 + self.z**2 - 1:.3e})"
             )
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
     def dot(self, other: "GaugeVector") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 

@@ -254,9 +254,11 @@ def boundary_residual_applies(dL: GaugeVector, dR: GaugeVector) -> bool:
 def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_TOL) -> np.ndarray:
     """Momentum points where the two eigenvalues nearly coalesce.
 
-    A point qualifies when |E+ - E-| < tol * max_k |E+ - E-|. Inside an
-    open phase region the scan comes back empty.
+    A point qualifies when |E+ - E-| < tol * max_k |E+ - E-|, with
+    ``0 < tol < 1``. Inside an open phase region the scan comes back empty.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"exceptional-point tolerance must satisfy 0 < tol < 1, got {tol}")
     grid = grid or KGrid()
     e_plus, e_minus = analytic_eigenvalues(p, grid.values)
     gap = np.abs(e_plus - e_minus)
@@ -282,36 +284,24 @@ class PhaseDiagram:
     gamma: np.ndarray
     boundary_residual: np.ndarray
 
-    def nearest_cell(self, tL: float, tR: float) -> tuple:
-        return int(np.argmin(np.abs(self.tL_axis - tL))), int(np.argmin(np.abs(self.tR_axis - tR)))
-
 
 def _openblas_thread_controls() -> list:
-    """``(get, set)`` thread-count functions of each OpenBLAS mapped into this process.
+    """``(get, set)`` thread-count functions of the OpenBLAS that ``np.linalg`` calls.
 
-    Empty where none is found: another BLAS (MKL, Accelerate), or a platform
-    without ``/proc/self/maps``.
+    Looked up through numpy's linalg extension, which links that BLAS. Empty
+    where none is found: another BLAS (MKL, Accelerate).
     """
     try:
-        with open("/proc/self/maps") as maps:
-            fields = (line.split(maxsplit=5) for line in maps)
-            paths = sorted({f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5].lower()})
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except OSError:
         return []
-    controls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get_n, set_n = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get_n is not None and set_n is not None:
-                get_n.argtypes, get_n.restype = [], ctypes.c_int
-                set_n.argtypes, set_n.restype = [ctypes.c_int], None
-                controls.append((get_n, set_n))
-                break
-    return controls
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get_n, set_n = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get_n is not None and set_n is not None:
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            return [(get_n, set_n)]
+    return []
 
 
 # The BLAS thread count is process-wide, so overlapping sweeps share one hold:

@@ -34,7 +34,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import numpy.linalg._umath_linalg
 
 from nahn.cli import main
 
@@ -71,7 +70,7 @@ RUNS = {
 
 def openblas_config():
     """The loaded OpenBLAS's build string, which names the core it runs on; None without OpenBLAS."""
-    lib = ctypes.CDLL(numpy.linalg._umath_linalg.__file__)
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for name in _OPENBLAS_CONFIG_SYMBOLS:
         get_config = getattr(lib, name, None)
         if get_config is not None:

@@ -283,6 +283,13 @@ class TestMeasurement:
             loci = bloch_samples_from_chain(J_rec, KGrid(1024).values)
             assert braiding_degree_of_samples(loci) == -2
 
+    @pytest.mark.parametrize("sigma, seed", [
+        (0.01, -1), (0.01, 1.5), (0.01, True), (-0.01, 0), (float("nan"), 0), (float("inf"), 0),
+    ])
+    def test_invalid_noise_rejected(self, sigma, seed):
+        with pytest.raises(ValidationError):
+            MeasurementNoise(sigma, seed)
+
     def test_singular_network_rejected(self):
         J = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(SingularNetworkError):

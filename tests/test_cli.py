@@ -86,6 +86,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="line 3"):
             load_config(write_cfg(tmp_path, "t0 = 1\ntL = 2\ntL = 3\n"))
 
+    @pytest.mark.parametrize("line", [
+        "kpoints = 64.9", "chain_N = 10.7", "resolution = 8.5", "kpoints = true", "chain_N = false", "threads = true",
+    ])
+    def test_integer_key_must_be_integral(self, tmp_path, line):
+        # these used to truncate (64.9 -> 64) or read true as 1
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            load_config(write_cfg(tmp_path, MODEL_CFG.replace("kpoints = 256", line)))
+
+    def test_integral_float_accepted(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, MODEL_CFG.replace("kpoints = 256", "kpoints = 100.0")))
+        assert cfg.kpoints == 100 and type(cfg.kpoints) is int
+
     def test_hash_key_order_independent(self):
         a = config_hash({"x": 1, "y": [2, 3]})
         b = config_hash({"y": [2, 3], "x": 1})
@@ -128,6 +140,13 @@ class TestSpectrumCommand:
             1j * header["omega_rad_s"] * 1e-9 * (data["re_E"] + 1j * data["im_E"])
         )
         assert np.max(np.abs(ratio - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "1", "5"])
+    def test_ep_tol_outside_unit_interval_rejected(self, tmp_path, tol, capsys):
+        # tol <= 0 or NaN used to find no exceptional point and tol >= 1 all of them
+        cfg = write_cfg(tmp_path, MODEL_CFG)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--ep-tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_kpoints_override_in_hash(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG)
@@ -286,6 +305,12 @@ class TestMeasureCommand:
             assert header["nu"] in (-2, 0, 2, None)
             if header["nu"] is None:
                 assert "nu_error" in header
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text() + "noise_sigma = 0.01\n")
+        code = main(["measure", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_model_config_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "chain_N = 10\n")
