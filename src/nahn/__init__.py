@@ -23,6 +23,7 @@ from .circuit import (
 from .eigensolve import (
     BandTrajectories,
     Spectrum,
+    chain_eig,
     eig2x2,
     eig_dense,
     sort_bands_by_continuity,
@@ -52,6 +53,7 @@ from .skin import (
     EigenstateSet,
     LocalizationReport,
     abelian_control,
+    chain_eigenstates,
     classify_localization,
     densities_from_eigenvectors,
     eigenstates_from_matrix,

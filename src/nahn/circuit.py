@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 
+from .eigensolve import _single_threaded_blas
 from .errors import SingularNetworkError, ValidationError
 from .model import (
     SIGMA_0,
@@ -175,6 +176,20 @@ def circuit_to_model(c: CircuitParams, include_r0: bool = True):
     return params, m0 / NF, 1j * omega0 * NF
 
 
+def circuit_blocks(c: CircuitParams, omega: float | None = None, include_r0: bool = True):
+    """On-site, leftward and rightward 2x2 admittance blocks, in siemens.
+
+    On-site ``i w [m0 s0 + C0 sx]``, leftward ``i w [m1 (s0 - sz) + C1 sz]``,
+    rightward ``i w C2 sx``, at the drive frequency unless ``omega`` is given.
+    """
+    w = c.drive_frequency() if omega is None else float(omega)
+    m0, m1 = m_coefficients(c, w, include_r0)
+    on = 1j * w * (m0 * SIGMA_0 + c.C0 * NF * SIGMA_X)
+    left = 1j * w * (m1 * (SIGMA_0 - SIGMA_Z) + c.C1 * NF * SIGMA_Z)
+    right = 1j * w * (c.C2 * NF * SIGMA_X)
+    return on, left, right
+
+
 def circuit_chain(
     c: CircuitParams,
     N: int,
@@ -184,18 +199,12 @@ def circuit_chain(
 ) -> np.ndarray:
     """Assemble the 2N x 2N admittance matrix of the chain, in siemens.
 
-    On-site block ``i w [m0 s0 + C0 sx]``, leftward block
-    ``i w [m1 (s0 - sz) + C1 sz]``, rightward block ``i w C2 sx``; periodic
-    boundaries add the wrap blocks. Open boundaries keep the on-site block
-    uniform at every site (the per-node LCR grounding compensates the
-    missing neighbors of the edge sites).
+    The blocks are :func:`circuit_blocks`; periodic boundaries add the wrap
+    blocks. Open boundaries keep the on-site block uniform at every site
+    (the per-node LCR grounding compensates the missing neighbors of the
+    edge sites).
     """
-    w = c.drive_frequency() if omega is None else float(omega)
-    m0, m1 = m_coefficients(c, w, include_r0)
-    on = 1j * w * (m0 * SIGMA_0 + c.C0 * NF * SIGMA_X)
-    left = 1j * w * (m1 * (SIGMA_0 - SIGMA_Z) + c.C1 * NF * SIGMA_Z)
-    right = 1j * w * (c.C2 * NF * SIGMA_X)
-    return chain_matrix(on, left, right, N, bc)
+    return chain_matrix(*circuit_blocks(c, omega, include_r0), N, bc)
 
 
 def measure_admittance(J: np.ndarray, protocol: MeasurementProtocol) -> np.ndarray:
@@ -205,29 +214,31 @@ def measure_admittance(J: np.ndarray, protocol: MeasurementProtocol) -> np.ndarr
     ``G = J^{-1}`` and the reconstruction inverts it back. Under the
     unit-cell protocol only the two nodes of the first cell are excited and
     the remaining response columns follow from the ring's translational
-    symmetry, so ``J`` must be block-circulant (a periodic chain).
+    symmetry, so ``J`` must be block-circulant (a periodic chain). Runs at
+    one BLAS thread, like every solve.
     """
     J = np.asarray(J, dtype=complex)
     n = J.shape[0]
     if J.ndim != 2 or J.shape[1] != n or n % 2 != 0:
         raise ValidationError(f"expected a 2N x 2N admittance matrix, got {J.shape}")
-    cond = np.linalg.cond(J)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularNetworkError(
-            f"admittance matrix is near-singular (condition number {cond:.3e}); "
-            "the drive sits on a resonance of the grounded network"
-        )
-    G = np.linalg.inv(J)
-    if protocol is MeasurementProtocol.PBC_UNIT_CELL:
-        n_sites = n // 2
-        if n_sites < 3:
-            raise ValidationError("unit-cell protocol needs at least 3 sites")
-        i = np.arange(n_sites)
-        cells = (i[:, None] - i[None, :]) % n_sites
-        # block (i, j) of the ring response is the first block column's block i - j
-        blocks = G[:, 0:2].reshape(n_sites, 2, 2)[cells]
-        G = blocks.transpose(0, 2, 1, 3).reshape(n, n)
-    return np.linalg.inv(G)
+    with _single_threaded_blas():
+        cond = np.linalg.cond(J)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise SingularNetworkError(
+                f"admittance matrix is near-singular (condition number {cond:.3e}); "
+                "the drive sits on a resonance of the grounded network"
+            )
+        G = np.linalg.inv(J)
+        if protocol is MeasurementProtocol.PBC_UNIT_CELL:
+            n_sites = n // 2
+            if n_sites < 3:
+                raise ValidationError("unit-cell protocol needs at least 3 sites")
+            i = np.arange(n_sites)
+            cells = (i[:, None] - i[None, :]) % n_sites
+            # block (i, j) of the ring response is the first block column's block i - j
+            blocks = G[:, 0:2].reshape(n_sites, 2, 2)[cells]
+            G = blocks.transpose(0, 2, 1, 3).reshape(n, n)
+        return np.linalg.inv(G)
 
 
 _COMPONENT_ORDER = ("C0", "C1", "C2", "L0", "L1", "R0")

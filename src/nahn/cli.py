@@ -27,8 +27,8 @@ from .errors import (
     SingularNetworkError,
     ValidationError,
 )
-from .eigensolve import eig_dense, sort_bands_by_continuity
-from .model import BoundaryCondition, analytic_eigenvalues, real_space_hamiltonian
+from .eigensolve import chain_eig, sort_bands_by_continuity
+from .model import BoundaryCondition, analytic_eigenvalues, chain_blocks
 from .output import build_header, write_report, write_table
 
 EXIT_OK = 0
@@ -149,8 +149,8 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
             )
         else:
             N = _require_chain(cfg)
-            spec = eig_dense(real_space_hamiltonian(cfg.model, N, BoundaryCondition.OBC), eigenvectors=False)
-            header = build_header("spectrum", eff, chain_N=N)
+            spec = chain_eig(*chain_blocks(cfg.model), N, eigenvectors=False)
+            header = build_header("spectrum", eff, chain_N=N, solver=spec.solver)
             write_table(out, fmt, header, EIGENVALUE_COLUMNS, _eigenvalue_rows(spec.eigenvalues))
         return
 
@@ -162,9 +162,11 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
         _write_loci(out, fmt, "spectrum", eff, grid, loci, drive)
     else:
         N = _require_chain(cfg)
-        J = cct.circuit_chain(c, N, BoundaryCondition.OBC, omega=drive, include_r0=include_r0)
-        raw = eig_dense(J, eigenvectors=False).eigenvalues
-        header = build_header("spectrum", eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF")
+        spec = chain_eig(*cct.circuit_blocks(c, drive, include_r0), N, eigenvectors=False)
+        raw = spec.eigenvalues
+        header = build_header(
+            "spectrum", eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF", solver=spec.solver,
+        )
         rows = _eigenvalue_rows(raw * (1.0 / (1j * drive * cct.NF)), raw)
         write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, rows)
 
@@ -237,8 +239,7 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         units = "dimensionless"
     else:
         drive = cfg.circuit.drive_frequency()
-        J = cct.circuit_chain(cfg.circuit, N, BoundaryCondition.OBC, omega=drive, include_r0=not cfg.zero_r0)
-        states = sk.eigenstates_from_matrix(J)
+        states = sk.chain_eigenstates(*cct.circuit_blocks(cfg.circuit, drive, not cfg.zero_r0), N)
         shown = states.eigenvalues / (1j * drive * cct.NF)
         units = "nF"
     report = sk.classify_localization(states, cfg.window_fraction, cfg.loc_threshold)
@@ -252,6 +253,7 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         bipolar=report.bipolar,
         window_fraction=cfg.window_fraction,
         loc_threshold=cfg.loc_threshold,
+        solver=states.solver,
     )
     write_table(out, fmt, header, STATE_COLUMNS, _states_rows(states, shown, order))
     payload = {

@@ -6,18 +6,112 @@ right eigenvectors) as provided by LAPACK through numpy, and adds the
 residual bookkeeping and eigenvector gauge required by the rest of the
 package. ``eig2x2`` implements the 2x2 closed form independently so that
 the two routes can be cross-checked.
+
+``chain_eig`` solves an open chain of 2x2 blocks at half the size when the
+chain is chiral: once the on-site identity part (a common shift) is
+removed, a real unit ``n`` orthogonal to every block's Pauli vector makes
+``Gamma = n . sigma`` anticommute with the chain (chiral, or sublattice,
+symmetry; Kawabata, Shiozaki, Ueda & Sato, PRX 9, 041015 (2019)). In
+Gamma's eigenbasis the 2N x 2N chain is ``[[0, A], [B, 0]]`` with
+tridiagonal N x N blocks; with ``A B u = mu u`` its eigenpairs are
+``+-sqrt(mu)`` with vectors ``(u, +-B u / sqrt(mu))``, rotated back site
+by site. It falls back to ``eig_dense`` of the assembled chain when no
+such ``n`` exists (a circuit off resonance, whose ``m1 (s0 - sz)`` hopping
+has an identity part), when ``min |mu|`` is tiny against ``||A B||`` (a
+zero mode or an exceptional point at the shift, where squaring loses
+half the digits and ``B u / sqrt(mu)`` is unstable), and when a residual
+against the assembled chain exceeds ``CHIRAL_RESIDUAL_BOUND``.
+
+Every LAPACK call here runs with the loaded OpenBLAS held at one thread,
+so results do not depend on ``OPENBLAS_NUM_THREADS``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EigensolverError, ValidationError
+from .model import BoundaryCondition, chain_matrix
 
 #: Pairing ambiguity threshold for continuity sorting.
 NEAR_DEGENERACY_TOL = 1e-12
+
+#: Largest symmetry-breaking part of a rotated block, relative to the largest
+#: block, that ``chain_eig`` still treats as chiral.
+CHIRAL_TOL = 1e-13
+
+#: ``min |mu| / ||A B||_F`` at or below which ``chain_eig`` falls back.
+ZERO_MODE_TOL = 1e-8
+
+#: Largest residual of a chiral eigenpair; a larger one makes ``chain_eig`` fall back.
+CHIRAL_RESIDUAL_BOUND = 1e-12
+
+#: Thread-count getter and setter of each OpenBLAS build: numpy's 64-bit-integer
+#: scipy-openblas, the 32-bit-integer scipy-openblas, and a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> list:
+    """``(get, set)`` thread-count functions of the OpenBLAS that ``np.linalg`` calls.
+
+    Looked up through numpy's linalg extension, which links that BLAS. Empty
+    where none is found: another BLAS (MKL, Accelerate).
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except OSError:
+        return []
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get_n, set_n = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get_n is not None and set_n is not None:
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            return [(get_n, set_n)]
+    return []
+
+
+# The BLAS thread count is process-wide, so overlapping holds share one:
+# the first to enter pins the count and the last to leave restores it.
+_blas_hold_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list = []
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Hold the loaded OpenBLAS at one thread, then restore its previous count.
+
+    The last digits of LAPACK's eigensolvers depend on the BLAS thread
+    count, so every solve runs inside this hold; a phase-diagram sweep
+    holds it for its whole pool, whose threads would otherwise stack on
+    BLAS threads. Without OpenBLAS this does nothing.
+    """
+    global _blas_holders, _blas_saved
+    with _blas_hold_lock:
+        if _blas_holders == 0:
+            _blas_saved = [(set_n, get_n()) for get_n, set_n in _openblas_thread_controls()]
+            for set_n, _ in _blas_saved:
+                set_n(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_hold_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_n, count in _blas_saved:
+                    set_n(count)
 
 
 @dataclass
@@ -28,12 +122,15 @@ class Spectrum:
     the largest-magnitude component rotated to be real and positive so that
     output files are reproducible. ``residuals`` are
     ``||M v - lambda v||_2 / max(1, ||M||_F)``; an infinite entry marks a
-    duplicated eigenvector returned for a defective matrix.
+    duplicated eigenvector returned for a defective matrix. ``solver``
+    names the route: ``"dense"`` (LAPACK on the full matrix), ``"chiral"``
+    (``chain_eig``'s half-size solve) or ``"2x2"`` (the closed form).
     """
 
     eigenvalues: np.ndarray
     right_eigenvectors: np.ndarray | None = None
     residuals: np.ndarray | None = None
+    solver: str = "dense"
 
 
 def _check_square(M) -> np.ndarray:
@@ -96,7 +193,20 @@ def eig2x2(M) -> Spectrum:
         else:
             V = np.eye(2, dtype=complex)
             res = _residuals(M, lams, V)
-    return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=res)
+    return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=res, solver="2x2")
+
+
+def _lapack_eig(M: np.ndarray, eigenvectors: bool):
+    """``(eigenvalues, vectors or None)`` from LAPACK's non-symmetric solver."""
+    try:
+        if eigenvectors:
+            return np.linalg.eig(M)
+        return np.linalg.eigvals(M), None
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(
+            f"QR iteration did not converge for a {M.shape[0]}x{M.shape[0]} matrix "
+            f"(LAPACK: {exc})"
+        ) from exc
 
 
 def eig_dense(M, eigenvectors: bool = True) -> Spectrum:
@@ -107,21 +217,121 @@ def eig_dense(M, eigenvectors: bool = True) -> Spectrum:
     partial result.
     """
     M = _check_square(M)
-    try:
-        if eigenvectors:
-            lams, V = np.linalg.eig(M)
-        else:
-            lams = np.linalg.eigvals(M)
-            V = None
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"QR iteration did not converge for a {M.shape[0]}x{M.shape[0]} matrix "
-            f"(LAPACK: {exc})"
-        ) from exc
-    if V is None:
-        return Spectrum(eigenvalues=lams)
-    V = _fix_gauge(V)
-    return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=_residuals(M, lams, V))
+    with _single_threaded_blas():
+        lams, V = _lapack_eig(M, eigenvectors)
+        if V is None:
+            return Spectrum(eigenvalues=lams)
+        V = _fix_gauge(V)
+        return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=_residuals(M, lams, V))
+
+
+def _chiral_blocks(blocks: np.ndarray):
+    """Unitary ``U`` and the blocks ``U^H b U``, off-diagonal for every block, or None.
+
+    ``blocks`` are the traceless on-site block and the two hoppings. ``n``
+    is normal to the plane of their Pauli vectors' real and imaginary
+    parts: the largest cross product with the longest of them, or, when
+    they are all parallel to it, any unit vector orthogonal to it. ``U``'s
+    columns are the ``+1`` and ``-1`` eigenvectors of ``n . sigma``. An
+    identity part in a hopping or a Pauli vector off the plane leaves a
+    diagonal entry above ``CHIRAL_TOL``, and the chain is not chiral.
+    """
+    pauli = np.stack([
+        blocks[:, 0, 1] + blocks[:, 1, 0],
+        1j * (blocks[:, 0, 1] - blocks[:, 1, 0]),
+        blocks[:, 0, 0] - blocks[:, 1, 1],
+    ], axis=1)
+    vectors = np.concatenate([pauli.real, pauli.imag])
+    a = vectors[np.argmax(np.linalg.norm(vectors, axis=1))]
+    cross = np.cross(a, vectors)
+    n = cross[np.argmax(np.linalg.norm(cross, axis=1))]
+    if np.linalg.norm(n) <= CHIRAL_TOL * np.dot(a, a):
+        n = np.cross(a, np.eye(3)[np.argmin(np.abs(a))])
+    if not np.linalg.norm(n) > 0.0:
+        return None  # no Pauli part at all: the chain is its shift
+    n = n / np.linalg.norm(n)
+    if n[2] < 0.0:
+        n = -n
+    U = np.array([[1.0 + n[2], -(n[0] - 1j * n[1])], [n[0] + 1j * n[1], 1.0 + n[2]]])
+    U /= np.sqrt(2.0 * (1.0 + n[2]))
+    rotated = U.conj().T @ blocks @ U
+    scale = np.max(np.linalg.norm(blocks, axis=(1, 2)))
+    if np.max(np.abs(rotated[:, [0, 1], [0, 1]])) > CHIRAL_TOL * scale:
+        return None
+    return U, rotated
+
+
+def _tridiagonal_product(a, b, N: int) -> np.ndarray:
+    """Dense ``A B`` of tridiagonal Toeplitz ``A``, ``B`` given as (diag, super, sub)."""
+    (a0, ap, am), (b0, bp, bm) = a, b
+    P = np.zeros((N, N), dtype=complex)
+    n = np.arange(N)
+    diag = np.full(N, a0 * b0 + ap * bm + am * bp)
+    diag[0] = a0 * b0 + ap * bm
+    diag[-1] = a0 * b0 + am * bp
+    P[n, n] = diag
+    P[n[:-1], n[1:]] = a0 * bp + ap * b0
+    P[n[1:], n[:-1]] = a0 * bm + am * b0
+    P[n[:-2], n[2:]] = ap * bp
+    P[n[2:], n[:-2]] = am * bm
+    return P
+
+
+def _chiral_solve(on, left, right, N, shift, U, rotated, eigenvectors):
+    """The chiral spectrum, or None where ``chain_eig`` must fall back."""
+    a = rotated[:, 0, 1]  # A: the (+, -) entries of on-site, leftward, rightward blocks
+    b = rotated[:, 1, 0]
+    AB = _tridiagonal_product(a, b, N)
+    mu, u = _lapack_eig(AB, eigenvectors)
+    if np.min(np.abs(mu)) <= ZERO_MODE_TOL * np.linalg.norm(AB):
+        return None
+    root = np.sqrt(mu)
+    lams = np.concatenate([shift + root, shift - root])
+    if u is None:
+        return Spectrum(eigenvalues=lams, solver="chiral")
+    w = b[0] * u
+    w[:-1] += b[1] * u[1:]
+    w[1:] += b[2] * u[:-1]
+    w /= root
+    rot = np.empty((N, 2, 2 * N), dtype=complex)
+    rot[:, 0, :N] = rot[:, 0, N:] = u
+    rot[:, 1, :N] = w
+    rot[:, 1, N:] = -w
+    V = _fix_gauge((U @ rot).reshape(2 * N, 2 * N))
+    # residuals against the assembled chain, applied block by block
+    Vs = V.reshape(N, 2, 2 * N)
+    R = on @ Vs - Vs * lams
+    R[:-1] += left @ Vs[1:]
+    R[1:] += right @ Vs[:-1]
+    norm = np.sqrt(N * np.vdot(on, on).real + (N - 1) * (np.vdot(left, left).real + np.vdot(right, right).real))
+    res = np.linalg.norm(R.reshape(2 * N, 2 * N), axis=0) / max(1.0, norm)
+    if not np.all(res <= CHIRAL_RESIDUAL_BOUND):
+        return None
+    return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=res, solver="chiral")
+
+
+def chain_eig(on, left, right, N: int, eigenvectors: bool = True) -> Spectrum:
+    """Spectrum of the open chain ``chain_matrix(on, left, right, N, OBC)``.
+
+    Solves the chiral N x N problem ``A B u = mu u`` when the chain allows
+    it and otherwise the full chain with :func:`eig_dense`; ``solver`` on
+    the result says which (see the module docstring for the fallbacks).
+    The chiral eigenvalues come as ``shift + sqrt(mu)`` followed by
+    ``shift - sqrt(mu)``. Residuals are taken against the assembled chain.
+    """
+    if N < 2:
+        raise ValidationError(f"chain needs at least 2 sites, got N={N}")
+    on, left, right = (_check_square(b) for b in (on, left, right))
+    if on.shape != (2, 2) or left.shape != (2, 2) or right.shape != (2, 2):
+        raise ValidationError("chain blocks must be 2x2")
+    with _single_threaded_blas():
+        shift = 0.5 * (on[0, 0] + on[1, 1])
+        chiral = _chiral_blocks(np.stack([on - shift * np.eye(2), left, right]))
+        if chiral is not None:
+            spec = _chiral_solve(on, left, right, N, shift, *chiral, eigenvectors)
+            if spec is not None:
+                return spec
+        return eig_dense(chain_matrix(on, left, right, N, BoundaryCondition.OBC), eigenvectors)
 
 
 @dataclass

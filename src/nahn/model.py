@@ -190,6 +190,11 @@ def chain_matrix(on, left, right, N: int, bc: BoundaryCondition) -> np.ndarray:
     return M.reshape(2 * N, 2 * N)
 
 
+def chain_blocks(p: ModelParams):
+    """On-site ``t0 dR.s``, leftward ``tL dL.s`` and rightward ``tR dR.s`` 2x2 blocks."""
+    return p.t0 * pauli_combination(p.dR), p.tL * pauli_combination(p.dL), p.tR * pauli_combination(p.dR)
+
+
 def real_space_hamiltonian(p: ModelParams, N: int, bc: BoundaryCondition) -> np.ndarray:
     """Assemble the 2N x 2N chain matrix.
 
@@ -198,7 +203,4 @@ def real_space_hamiltonian(p: ModelParams, N: int, bc: BoundaryCondition) -> np.
     ``tR dR.s`` on the sub-diagonal; periodic boundaries add the two
     wrap-around blocks.
     """
-    on = p.t0 * pauli_combination(p.dR)
-    left = p.tL * pauli_combination(p.dL)
-    right = p.tR * pauli_combination(p.dR)
-    return chain_matrix(on, left, right, N, bc)
+    return chain_matrix(*chain_blocks(p), N, bc)

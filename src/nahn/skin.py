@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import eig_dense
-from .model import BoundaryCondition, GaugeVector, ModelParams, real_space_hamiltonian
+from .eigensolve import Spectrum, chain_eig, eig_dense
+from .model import GaugeVector, ModelParams, chain_blocks
 
 #: Fraction of the chain counted as each boundary window.
 DEFAULT_WINDOW_FRACTION = 0.2
@@ -27,12 +27,13 @@ class EigenstateSet:
 
     ``densities[n, x]`` is the weight of state n on site x, summed over the
     two pseudospin components and normalized so each state's site densities
-    add up to 1.
+    add up to 1. ``solver`` is the eigensolver route (see ``Spectrum``).
     """
 
     n_sites: int
     eigenvalues: np.ndarray
     densities: np.ndarray
+    solver: str = "dense"
 
 
 @dataclass
@@ -64,24 +65,38 @@ def densities_from_eigenvectors(V: np.ndarray) -> np.ndarray:
     return (site_dens / site_dens.sum(axis=0, keepdims=True)).T
 
 
+def _eigenstates(spec: Spectrum) -> EigenstateSet:
+    V = spec.right_eigenvectors
+    return EigenstateSet(
+        n_sites=V.shape[0] // 2,
+        eigenvalues=spec.eigenvalues,
+        densities=densities_from_eigenvectors(V),
+        solver=spec.solver,
+    )
+
+
 def eigenstates_from_matrix(M: np.ndarray) -> EigenstateSet:
-    """Diagonalize a 2N x 2N chain operator and collect site densities."""
+    """Diagonalize a 2N x 2N chain operator densely and collect site densities.
+
+    For matrices with no block structure to exploit, such as measured ones,
+    whose noise breaks the chiral symmetry ``chain_eig`` uses.
+    """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
         raise ValidationError(f"expected a square 2N x 2N matrix, got {M.shape}")
-    spec = eig_dense(M)
-    return EigenstateSet(
-        n_sites=M.shape[0] // 2,
-        eigenvalues=spec.eigenvalues,
-        densities=densities_from_eigenvectors(spec.right_eigenvectors),
-    )
+    return _eigenstates(eig_dense(M))
+
+
+def chain_eigenstates(on, left, right, N: int) -> EigenstateSet:
+    """Eigenpairs and site densities of the open chain of 2x2 blocks (``chain_eig``)."""
+    return _eigenstates(chain_eig(on, left, right, N))
 
 
 def obc_eigenstates(p: ModelParams, N: int) -> EigenstateSet:
     """Eigenpairs of the open chain with per-site densities."""
     if N < 4:
         raise ValidationError(f"localization analysis needs N >= 4 sites, got {N}")
-    return eigenstates_from_matrix(real_space_hamiltonian(p, N, BoundaryCondition.OBC))
+    return chain_eigenstates(*chain_blocks(p), N)
 
 
 def _window(n_sites: int, fraction: float) -> int:

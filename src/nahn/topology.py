@@ -13,10 +13,7 @@ determinants, each step bounded by pi in magnitude.
 
 from __future__ import annotations
 
-import ctypes
-import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +26,7 @@ from .errors import (
     ReferenceOnSpectrumError,
     ValidationError,
 )
-from .eigensolve import BandTrajectories
+from .eigensolve import BandTrajectories, _single_threaded_blas
 from .model import GaugeVector, ModelParams, analytic_eigenvalues
 
 DEFAULT_KPOINTS = 1024
@@ -54,14 +51,6 @@ STANDARD_DR = GaugeVector(1.0, 0.0, 0.0)
 
 #: ``|dL . dR|`` up to which ``phase_boundary_residual``'s closed form applies.
 ORTHOGONAL_DIRECTIONS_TOL = 1e-12
-
-#: Thread-count getter and setter of each OpenBLAS build: numpy's 64-bit-integer
-#: scipy-openblas, the 32-bit-integer scipy-openblas, and a system OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 @dataclass(frozen=True)
@@ -283,57 +272,6 @@ class PhaseDiagram:
     nu: np.ndarray
     gamma: np.ndarray
     boundary_residual: np.ndarray
-
-
-def _openblas_thread_controls() -> list:
-    """``(get, set)`` thread-count functions of the OpenBLAS that ``np.linalg`` calls.
-
-    Looked up through numpy's linalg extension, which links that BLAS. Empty
-    where none is found: another BLAS (MKL, Accelerate).
-    """
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except OSError:
-        return []
-    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        get_n, set_n = getattr(lib, get_name, None), getattr(lib, set_name, None)
-        if get_n is not None and set_n is not None:
-            get_n.argtypes, get_n.restype = [], ctypes.c_int
-            set_n.argtypes, set_n.restype = [ctypes.c_int], None
-            return [(get_n, set_n)]
-    return []
-
-
-# The BLAS thread count is process-wide, so overlapping sweeps share one hold:
-# the first to enter pins the count and the last to leave restores it.
-_blas_hold_lock = threading.Lock()
-_blas_holders = 0
-_blas_saved: list = []
-
-
-@contextmanager
-def _single_threaded_blas():
-    """Hold the loaded OpenBLAS at one thread, then restore its previous count.
-
-    A phase-diagram sweep parallelizes over cells; BLAS threads under its
-    pool would oversubscribe the cores, and the dense eigensolver's last
-    digits depend on the BLAS thread count. Without OpenBLAS this does nothing.
-    """
-    global _blas_holders, _blas_saved
-    with _blas_hold_lock:
-        if _blas_holders == 0:
-            _blas_saved = [(set_n, get_n()) for get_n, set_n in _openblas_thread_controls()]
-            for set_n, _ in _blas_saved:
-                set_n(1)
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_hold_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                for set_n, count in _blas_saved:
-                    set_n(count)
 
 
 def compute_phase_diagram(

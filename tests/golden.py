@@ -14,10 +14,11 @@ results (``nu``, ``gamma``, ``exceptional_k``, ...) and ``config_sha256``.
 A run that exits non-zero is one entry ``<run>/`` holding its exit code
 and the first line it wrote to stderr.
 
-The last digits of the open-chain eigensolves depend on the BLAS thread
-count and the CPU kernel, so the manifest is made and compared with one
-OpenBLAS thread, and records the numpy version and the OpenBLAS build
-(with its core) it was made on. Regenerate it with::
+The last digits of the eigensolves depend on the CPU kernel, so the
+manifest records the numpy version and the OpenBLAS build (with its core)
+it was made on. nahn runs every solve at one OpenBLAS thread; the manifest
+is made and compared with ``OPENBLAS_NUM_THREADS=1`` as well. Regenerate
+it with::
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py > tests/golden/manifest.json
 """

@@ -14,7 +14,7 @@ import nahn
 from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ConfigError
-from nahn.topology import _openblas_thread_controls
+from nahn.eigensolve import _openblas_thread_controls
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -33,6 +33,21 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def run_in_subprocess(out, args, extra_env):
+    """Bytes that ``python -m nahn ARGS --out OUT`` writes, with every ``*_NUM_THREADS`` but ``extra_env`` unset."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = str(Path(nahn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nahn", *args, "--out", str(out)],
+        env={**env, **extra_env},
+        capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return out.read_bytes()
 
 
 MODEL_CFG = """
@@ -198,26 +213,15 @@ class TestPhaseDiagramCommand:
             "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0,0,1]\ndR = [1,0,0]\n"
             "t_min = 0.0\nt_max = 4.0\nresolution = 8\nchain_N = 100\nkpoints = 1024\n",
         )
-        env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
-        src = str(Path(nahn.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         settings = {
             "blas1": ({"OPENBLAS_NUM_THREADS": "1"}, []),
             "threads1": ({}, ["--threads", "1"]),
             "threads2": ({}, ["--threads", "2"]),
         }
-        outputs = {}
-        for name, (extra_env, extra_args) in settings.items():
-            out = tmp_path / f"{name}.csv"
-            proc = subprocess.run(
-                [sys.executable, "-m", "nahn", "phase-diagram", "--config", str(cfg), "--out", str(out),
-                 *extra_args],
-                env={**env, **extra_env},
-                capture_output=True,
-                timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr.decode()
-            outputs[name] = out.read_bytes()
+        outputs = {
+            name: run_in_subprocess(tmp_path / f"{name}.csv", ["phase-diagram", "--config", str(cfg), *extra_args], extra_env)
+            for name, (extra_env, extra_args) in settings.items()
+        }
         assert outputs["threads1"] == outputs["blas1"]
         assert outputs["threads2"] == outputs["blas1"]
 
@@ -254,6 +258,34 @@ class TestSkinCommand:
         # densities of each state sum to one over the 100 sites
         sums = data["density"].reshape(200, 100).sum(axis=1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
+
+
+class TestSingleChainSolver:
+    def test_solver_in_header(self, tmp_path):
+        out = tmp_path / "fig1g.csv"
+        assert main(["skin", "--config", str(RECIPES / "fig1g.cfg"), "--out", str(out)]) == 0
+        assert read_csv(out)[0]["solver"] == "chiral"
+        # off resonance the m1 (s0 - sz) hopping breaks the chiral symmetry
+        text = (RECIPES / "fig4def.cfg").read_text() + "omega_rad_s = 5e6\n"
+        cfg = write_cfg(tmp_path, text)
+        for command in ("spectrum", "skin"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert read_csv(out)[0]["solver"] == "dense"
+
+    @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS with thread-count symbols is loaded")
+    @pytest.mark.parametrize("command, recipe", [("skin", "fig1g"), ("spectrum", "fig1g"), ("measure", "fig4def")])
+    def test_output_independent_of_blas_threads(self, tmp_path, command, recipe):
+        # 200 sites: a 200x200 chiral solve (400x400 dense for measure), large
+        # enough for OpenBLAS to use its threads when it is allowed to
+        text = (RECIPES / f"{recipe}.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("chain_N = 100", "chain_N = 200").replace("chain_N = 47", "chain_N = 200"))
+        outputs = [
+            run_in_subprocess(tmp_path / f"{command}{i}.csv", [command, "--config", str(cfg)], extra_env)
+            for i, extra_env in enumerate([{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}, {}])
+        ]
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
 
 
 class TestMeasureCommand:

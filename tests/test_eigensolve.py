@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import DL, multiset_match, params
+from conftest import DL, multiset_match, params, random_unit_vector
 from nahn import (
+    BoundaryCondition,
+    CircuitParams,
+    GaugeVector,
     ValidationError,
     analytic_eigenvalues,
+    chain_eig,
     eig2x2,
     eig_dense,
+    gamma,
     sort_bands_by_continuity,
 )
-from nahn.model import SIGMA_X
+from nahn import eigensolve
+from nahn.circuit import NF, circuit_blocks
+from nahn.model import SIGMA_X, chain_blocks, chain_matrix
+from nahn.skin import EigenstateSet, densities_from_eigenvectors
 
 
 def random_complex(rng, n):
@@ -115,6 +123,124 @@ class TestEigDense:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             eig_dense(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+
+def chain_gamma(spec, N):
+    return gamma(EigenstateSet(N, spec.eigenvalues, densities_from_eigenvectors(spec.right_eigenvectors)))
+
+
+def full_chain_residuals(M, spec):
+    V, lams = spec.right_eigenvectors, spec.eigenvalues
+    return np.linalg.norm(M @ V - V * lams, axis=0) / max(1.0, np.linalg.norm(M))
+
+
+def fig4def_blocks(include_r0):
+    c = CircuitParams(C0=10.0, C1=12.0, C2=9.0, L0=0.95, L1=4.4, R0=3.9)
+    return circuit_blocks(c, c.drive_frequency(), include_r0), 1.0 / (1j * c.drive_frequency() * NF)
+
+
+class TestChainEigOracle:
+    """The chiral solve against the full dense solve of the assembled chain."""
+
+    def check(self, blocks, N, scale=1.0):
+        M = chain_matrix(*blocks, N, BoundaryCondition.OBC)
+        spec, dense = chain_eig(*blocks, N), eig_dense(M)
+        assert spec.solver == "chiral"
+        assert abs(chain_gamma(spec, N) - chain_gamma(dense, N)) <= 1e-12
+        assert np.max(full_chain_residuals(M, spec)) <= 1e-10
+        # eigenvalues come as shift + sqrt(mu), then shift - sqrt(mu), also without vectors
+        shift = 0.5 * (blocks[0][0, 0] + blocks[0][1, 1])
+        values = chain_eig(*blocks, N, eigenvectors=False)
+        assert values.solver == "chiral"
+        for E in (spec.eigenvalues, values.eigenvalues):
+            upper, lower = E[:N] - shift, E[N:] - shift
+            if shift == 0:
+                assert np.array_equal(upper, -lower)
+            else:
+                assert np.max(np.abs(upper + lower)) <= 1e-15 * np.max(np.abs(E))
+        return spec.eigenvalues * scale, dense.eigenvalues * scale
+
+    @pytest.mark.parametrize("dL", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.6, 0.8)])
+    def test_fig1b_plane(self, dL):
+        axis = 4.0 * np.arange(1, 9) / 8
+        for tL in axis:
+            for tR in axis:
+                self.check(chain_blocks(params(1.0, tL, tR, dL=GaugeVector(*dL))), 40)
+
+    def test_general_parameters(self):
+        rng = np.random.default_rng(5)
+        for _ in range(8):
+            t0, tL, tR = rng.uniform(0.5, 2.0), *rng.uniform(0.3, 3.0, 2)
+            self.check(chain_blocks(params(t0, tL, tR, random_unit_vector(rng), random_unit_vector(rng))), 40)
+
+    # Eigenvalue sets are compared only on well-conditioned chains. On a
+    # monopolar chain the eigenvalues are exponentially ill-conditioned, and
+    # even eig(H) and eig(H^T) differ at O(1) (by 1.1 at (tL, tR) = (1, 3),
+    # N = 100), so the two solves need not agree there; forward-accurate
+    # open-chain eigenvalues are a separate open problem.
+    def test_fig1g_eigenvalues(self):
+        chiral, dense = self.check(chain_blocks(params(1.0, 1.2, 0.9)), 100)
+        assert multiset_match(chiral, dense) <= 1e-10
+
+    @pytest.mark.parametrize("include_r0", [True, False])
+    def test_fig4def_eigenvalues(self, include_r0):
+        blocks, to_nF = fig4def_blocks(include_r0)
+        chiral, dense = self.check(blocks, 47, to_nF)
+        assert multiset_match(chiral, dense) <= 1e-10
+
+
+class TestChainEigFallback:
+    def test_zero_mode_takes_dense_path(self):
+        # t0 = 0 on an odd chain: the bipartite hopping chain has an exact zero mode, mu = 0
+        blocks = chain_blocks(params(0.0, 1.3, 0.7))
+        M = chain_matrix(*blocks, 21, BoundaryCondition.OBC)
+        for vectors in (True, False):
+            spec, dense = chain_eig(*blocks, 21, eigenvectors=vectors), eig_dense(M, eigenvectors=vectors)
+            assert spec.solver == "dense"
+            assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+        assert np.min(np.abs(spec.eigenvalues)) < 1e-12
+        assert np.array_equal(chain_eig(*blocks, 21).right_eigenvectors, eig_dense(M).right_eigenvectors)
+
+    def test_off_resonance_circuit_takes_dense_path(self):
+        c = CircuitParams(C0=10.0, C1=12.0, C2=9.0, L0=0.95, L1=4.4, R0=3.9)
+        blocks = circuit_blocks(c, 1.2 * c.drive_frequency())
+        M = chain_matrix(*blocks, 20, BoundaryCondition.OBC)
+        for vectors in (True, False):
+            spec = chain_eig(*blocks, 20, eigenvectors=vectors)
+            assert spec.solver == "dense"
+            assert np.array_equal(spec.eigenvalues, eig_dense(M, eigenvectors=vectors).eigenvalues)
+
+    @pytest.mark.parametrize("d", [(1.0, 0.0, 0.0), (0.6, 0.0, 0.8)])
+    def test_parallel_directions_take_chiral_path(self, d):
+        # dL = dR, as in criterion 08's abelian control (d = x): any n
+        # orthogonal to dR works; the cross products are zero or rounding noise
+        d = GaugeVector(*d)
+        blocks = chain_blocks(params(1.0, 2.0, 0.5, dL=d, dR=d))
+        M = chain_matrix(*blocks, 30, BoundaryCondition.OBC)
+        spec = chain_eig(*blocks, 30)
+        assert spec.solver == "chiral"
+        assert np.max(full_chain_residuals(M, spec)) <= 1e-12
+        assert abs(chain_gamma(spec, 30) - chain_gamma(eig_dense(M), 30)) <= 1e-12
+
+    def test_shift_only_chain_takes_dense_path(self):
+        on = 0.5j * np.eye(2)
+        spec = chain_eig(on, np.zeros((2, 2)), np.zeros((2, 2)), 6)
+        assert spec.solver == "dense" and np.array_equal(spec.eigenvalues, np.full(12, 0.5j))
+
+    def test_residual_bound_failure_takes_dense_path(self, monkeypatch):
+        monkeypatch.setattr(eigensolve, "CHIRAL_RESIDUAL_BOUND", 0.0)
+        blocks = chain_blocks(params(1.0, 1.2, 0.9))
+        assert chain_eig(*blocks, 20).solver == "dense"
+        assert chain_eig(*blocks, 20, eigenvectors=False).solver == "chiral"
+
+    def test_validation(self):
+        blocks = chain_blocks(params(1.0, 1.2, 0.9))
+        with pytest.raises(ValidationError):
+            chain_eig(*blocks, 1)
+        with pytest.raises(ValidationError):
+            chain_eig(np.eye(3), *blocks[1:], 10)
+        with pytest.raises(ValidationError):
+            chain_eig(np.full((2, 2), np.nan), *blocks[1:], 10)
 
 
 def tracked(p, n):

@@ -15,8 +15,8 @@ MANIFEST = HERE / "golden" / "manifest.json"
 
 
 def test_golden_outputs_match_manifest():
-    # one BLAS thread, as the manifest was made: open-chain eigensolves of
-    # 47 and more sites change their last digits with the thread count
+    # one BLAS thread, as the manifest was made (nahn also holds every
+    # solve at one thread, so this pins nothing that nahn leaves free)
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = "1"
     src = str(Path(nahn.__file__).resolve().parents[1])

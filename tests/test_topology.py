@@ -25,7 +25,8 @@ from nahn import (
     winding_number,
 )
 from nahn.errors import NumericalError
-from nahn.topology import NU_SENTINEL, _openblas_thread_controls
+from nahn.eigensolve import _openblas_thread_controls
+from nahn.topology import NU_SENTINEL
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
