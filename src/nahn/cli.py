@@ -27,7 +27,7 @@ from .errors import (
     SingularNetworkError,
     ValidationError,
 )
-from .eigensolve import chain_eig, sort_bands_by_continuity
+from .eigensolve import chain_eig, eigvals2x2, sort_bands_by_continuity
 from .model import BoundaryCondition, analytic_eigenvalues, chain_blocks
 from .output import build_header, write_report, write_table
 
@@ -71,14 +71,6 @@ STATE_COLUMNS = ["state_index", "re_E", "im_E", "site", "density"]
 PHASE_COLUMNS = ["tL", "tR", "nu", "gamma", "boundary_residual"]
 
 
-def _eig_pairs(samples: np.ndarray) -> np.ndarray:
-    """Closed-form eigenvalue pairs of stacked 2x2 matrices."""
-    half_tr = 0.5 * (samples[:, 0, 0] + samples[:, 1, 1])
-    det = samples[:, 0, 0] * samples[:, 1, 1] - samples[:, 0, 1] * samples[:, 1, 0]
-    disc = np.sqrt(half_tr * half_tr - det)
-    return np.column_stack([half_tr + disc, half_tr - disc])
-
-
 def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
 
@@ -116,7 +108,7 @@ def _write_bands(out: Path, fmt: str, command: str, eff: dict, grid, pairs, raw_
 
 def _write_loci(out: Path, fmt: str, command: str, eff: dict, grid, loci, drive: float, **extra) -> None:
     """Band table of admittance loci (siemens), shown in nF through 1/(i omega NF)."""
-    pairs = _eig_pairs(loci * (1.0 / (1j * drive * cct.NF)))
+    pairs = eigvals2x2(loci * (1.0 / (1j * drive * cct.NF)))
     _write_bands(
         out, fmt, command, eff, grid, pairs, 1j * drive * cct.NF,
         omega_rad_s=drive, eigenvalue_units="nF", tolerances={"det_zero": topo.DET_ZERO_TOL},
@@ -204,9 +196,6 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
                     float(diagram.boundary_residual[i, j]),
                 )
             )
-    extra = {}
-    if not topo.boundary_residual_applies(cfg.model.dL, cfg.model.dR):
-        extra["boundary_residual"] = "NaN: its closed form holds only for dL.dR = 0 at t0 = 1"
     header = build_header(
         "phase-diagram",
         eff,
@@ -214,7 +203,6 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         chain_N=chain_N,
         nu_sentinel=topo.NU_SENTINEL,
         tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
-        **extra,
     )
     write_table(out, fmt, header, PHASE_COLUMNS, rows)
 

@@ -4,8 +4,8 @@
 Hessenberg reduction, shifted QR with deflation, back-substitution for the
 right eigenvectors) as provided by LAPACK through numpy, and adds the
 residual bookkeeping and eigenvector gauge required by the rest of the
-package. ``eig2x2`` implements the 2x2 closed form independently so that
-the two routes can be cross-checked.
+package. ``eigvals2x2`` (stacked) and ``eig2x2`` implement the 2x2 closed
+form independently so that the two routes can be cross-checked.
 
 ``chain_eig`` solves an open chain of 2x2 blocks at half the size when the
 chain is chiral: once the on-site identity part (a common shift) is
@@ -156,22 +156,26 @@ def _residuals(M: np.ndarray, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.linalg.norm(M @ V - V * lams[np.newaxis, :], axis=0) / scale
 
 
+def eigvals2x2(M: np.ndarray) -> np.ndarray:
+    """Closed-form pairs ``Tr/2 +- sqrt((Tr/2)^2 - det)``, shape ``(n, 2)``, of ``(n, 2, 2)`` matrices."""
+    half_tr = 0.5 * (M[:, 0, 0] + M[:, 1, 1])
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    disc = np.sqrt(half_tr * half_tr - det)
+    return np.column_stack([half_tr + disc, half_tr - disc])
+
+
 def eig2x2(M) -> Spectrum:
     """Closed-form eigendecomposition of a 2x2 complex matrix.
 
-    Eigenvalues are ``Tr/2 +- sqrt((Tr/2)^2 - det)`` with the principal
-    square root; eigenvectors come from the null space of ``M - lambda I``
-    using the numerically larger row as the constraint. A defective input
-    yields a repeated eigenvalue and the same eigenvector twice, with the
-    duplicate's residual set to ``inf``.
+    Eigenvalues come from :func:`eigvals2x2`; eigenvectors come from the
+    null space of ``M - lambda I`` using the numerically larger row as the
+    constraint. A defective input yields a repeated eigenvalue and the
+    same eigenvector twice, with the duplicate's residual set to ``inf``.
     """
     M = _check_square(M)
     if M.shape != (2, 2):
         raise ValidationError(f"eig2x2 needs a 2x2 matrix, got {M.shape}")
-    half_tr = 0.5 * (M[0, 0] + M[1, 1])
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    disc = np.sqrt(half_tr * half_tr - det)
-    lams = np.array([half_tr + disc, half_tr - disc])
+    lams = eigvals2x2(M[np.newaxis])[0]
 
     vecs = []
     for lam in lams:
@@ -187,7 +191,7 @@ def eig2x2(M) -> Spectrum:
     V = _fix_gauge(np.column_stack(vecs))
     res = _residuals(M, lams, V)
     if lams[0] == lams[1] and abs(np.vdot(V[:, 0], V[:, 1])) > 1.0 - 1e-10:
-        if np.linalg.norm(M - half_tr * np.eye(2)) > 0.0:
+        if np.linalg.norm(M - lams[0] * np.eye(2)) > 0.0:
             # defective: only one independent eigenvector exists
             res[1] = np.inf
         else:

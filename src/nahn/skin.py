@@ -102,7 +102,10 @@ def obc_eigenstates(p: ModelParams, N: int) -> EigenstateSet:
 def _window(n_sites: int, fraction: float) -> int:
     if not 0.0 < fraction < 0.5:
         raise ValidationError(f"window fraction must lie in (0, 0.5), got {fraction}")
-    return int(np.ceil(fraction * n_sites))
+    w = int(np.ceil(fraction * n_sites))
+    if 2 * w > n_sites:
+        raise ValidationError(f"window fraction {fraction} makes the two {w}-site windows overlap on {n_sites} sites")
+    return w
 
 
 def gamma(states: EigenstateSet, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> float:

@@ -49,9 +49,6 @@ NU_SENTINEL = 127
 STANDARD_DL = GaugeVector(0.0, 0.0, 1.0)
 STANDARD_DR = GaugeVector(1.0, 0.0, 0.0)
 
-#: ``|dL . dR|`` up to which ``phase_boundary_residual``'s closed form applies.
-ORTHOGONAL_DIRECTIONS_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class KGrid:
@@ -220,13 +217,14 @@ def band_resolved_winding(traj: BandTrajectories, E0: complex) -> list:
 
 
 def phase_boundary_residual(tL: float, tR: float) -> float:
-    """Residual of the exceptional-point boundary condition at t0 = 1.
+    """Closed-form residual of the exceptional-point boundary condition at t0 = 1.
 
     Zero crossings along a parameter path locate braiding phase
     boundaries. The closed form holds only for orthogonal directions
-    (``dL . dR = 0``, see :func:`boundary_residual_applies`). At
-    ``tL**2 == tR**2`` the expression degenerates; callers treat that as
-    on-boundary.
+    (``dL . dR = 0``); phase diagrams write :func:`_boundary_residual`,
+    which holds for every direction and has this one's sign there. At
+    ``tL**2 == tR**2`` the expression degenerates and raises
+    ``PhaseBoundaryError``.
     """
     denom = tL * tL - tR * tR
     if denom == 0.0:
@@ -235,9 +233,16 @@ def phase_boundary_residual(tL: float, tR: float) -> float:
     return 1.0 + s * (2.0 * tR * tR / denom**2 - 1.0) + 2.0 * tR * tR / denom
 
 
-def boundary_residual_applies(dL: GaugeVector, dR: GaugeVector) -> bool:
-    """Whether :func:`phase_boundary_residual` describes a sweep along ``dL``, ``dR``."""
-    return abs(dL.dot(dR)) <= ORTHOGONAL_DIRECTIONS_TOL
+def _boundary_residual(p: ModelParams) -> float:
+    """Signed residual ``-(|z_(2)| - 1)(|z_(3)| - 1)`` of ``P``'s sorted root radii.
+
+    The middle pair is the one that defines the generalized Brillouin zone
+    (Yokomizo & Murakami, PRL 123, 066404 (2019)). For any ``dL``, ``dR``
+    and ``t0`` the residual is positive exactly where ``nu = 0`` (two roots
+    inside ``|z| < 1``) and changes sign wherever a root crosses the circle.
+    """
+    r = np.sort(np.abs(np.roots(_quartic(p))))
+    return float(-(r[1] - 1.0) * (r[2] - 1.0))
 
 
 def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_TOL) -> np.ndarray:
@@ -262,9 +267,9 @@ class PhaseDiagram:
     """Braiding degree, boundary-density contrast and boundary residual on a grid.
 
     ``nu[i, j]`` belongs to ``(tL_axis[i], tR_axis[j])``; rejected cells
-    carry ``NU_SENTINEL``. ``boundary_residual`` is NaN where the residual
-    formula degenerates, and everywhere when it does not apply to the
-    sweep's directions.
+    carry ``NU_SENTINEL``. ``boundary_residual`` is finite in every cell:
+    positive where ``nu = 0``, negative elsewhere (see
+    :func:`_boundary_residual`).
     """
 
     tL_axis: np.ndarray
@@ -287,8 +292,8 @@ def compute_phase_diagram(
 
     Each cell gets the braiding degree (sentinel on rejection), the
     boundary-density contrast of an open chain with ``chain_N`` sites, and
-    the boundary residual (NaN at its poles, and everywhere unless
-    :func:`boundary_residual_applies`). Cells are independent; they are
+    the signed boundary residual of :func:`_boundary_residual`, whose sign
+    changes across every ``nu`` transition. Cells are independent; they are
     dispatched to a thread pool of ``threads`` workers and written back by
     index. The loaded OpenBLAS runs on one thread for the length of the
     sweep, so the pool is its only parallelism and the output does not
@@ -300,12 +305,13 @@ def compute_phase_diagram(
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
+    floor = np.sqrt(np.finfo(float).tiny)  # smaller hoppings square to subnormals or 0 in P, where np.roots fails
+    if axis[0] < floor:
+        raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")
 
     nu = np.full((resolution, resolution), NU_SENTINEL, dtype=int)
     gam = np.full((resolution, resolution), np.nan)
     res = np.full((resolution, resolution), np.nan)
-
-    residual_applies = boundary_residual_applies(dL, dR)
 
     def cell(idx):
         i, j = idx
@@ -315,15 +321,11 @@ def compute_phase_diagram(
         except NumericalError:
             nu_ij = NU_SENTINEL
         try:
-            res_ij = phase_boundary_residual(axis[i], axis[j]) if residual_applies else np.nan
-        except PhaseBoundaryError:
-            res_ij = np.nan
-        try:
             states = skin.obc_eigenstates(p, chain_N)
             gam_ij = skin.gamma(states)
         except NumericalError:
             gam_ij = np.nan
-        return i, j, nu_ij, gam_ij, res_ij
+        return i, j, nu_ij, gam_ij, _boundary_residual(p)
 
     indices = [(i, j) for i in range(resolution) for j in range(resolution)]
     if threads is not None and threads < 1:

@@ -187,22 +187,19 @@ class TestPhaseDiagramCommand:
         assert len(data["tL"]) == 64
         assert set(np.unique(data["nu"])) <= {-2.0, 0.0, 2.0, 127.0}
 
-    def test_residual_header_for_non_orthogonal_directions(self, tmp_path):
+    @pytest.mark.parametrize("dL", ["[0.6,0,0.8]", "[0,0,1]"], ids=["general", "standard"])
+    def test_residual_finite_for_every_direction(self, tmp_path, dL):
         text = (
-            "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0.6,0,0.8]\ndR = [1,0,0]\n"
+            f"t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = {dL}\ndR = [1,0,0]\n"
             "t_min = 0.0\nt_max = 4.0\nresolution = 8\nchain_N = 10\nkpoints = 128\n"
         )
-        out = tmp_path / "general.csv"
+        out = tmp_path / "diagram.csv"
         assert main(["phase-diagram", "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 0
         header, _, data = read_csv(out)
-        assert "dL.dR = 0" in header["boundary_residual"]
-        assert np.all(np.isnan(data["boundary_residual"]))
-        standard = tmp_path / "standard.csv"
-        cfg = write_cfg(tmp_path, text.replace("[0.6,0,0.8]", "[0,0,1]"), name="standard.cfg")
-        assert main(["phase-diagram", "--config", str(cfg), "--out", str(standard)]) == 0
-        header, _, data = read_csv(standard)
         assert "boundary_residual" not in header
-        assert np.isfinite(data["boundary_residual"]).sum() == 64 - 8
+        assert np.all(np.isfinite(data["boundary_residual"]))
+        accepted = data["nu"] != 127
+        assert np.array_equal((data["boundary_residual"] > 0)[accepted], (data["nu"] == 0)[accepted])
 
     @pytest.mark.skipif(not _openblas_thread_controls(), reason="no OpenBLAS with thread-count symbols is loaded")
     def test_output_independent_of_thread_settings(self, tmp_path):
@@ -233,6 +230,15 @@ class TestPhaseDiagramCommand:
 
 
 class TestSkinCommand:
+    def test_overlapping_windows_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            "t0 = 1.0\ntL = 1.0\ntR = 3.0\ndL = [0,0,1]\ndR = [1,0,0]\nchain_N = 5\nwindow_fraction = 0.45\n",
+        )
+        assert main(["skin", "--config", str(cfg), "--out", str(tmp_path / "skin.csv")]) == 2
+        assert "overlap" in capsys.readouterr().err
+        assert not (tmp_path / "skin.csv").exists()
+
     def test_monopolar_circuit_recipe(self, tmp_path):
         out = tmp_path / "fig4abc.csv"
         assert main(["skin", "--config", str(RECIPES / "fig4abc.cfg"), "--out", str(out)]) == 0

@@ -70,6 +70,17 @@ class TestGamma:
         with pytest.raises(ValidationError):
             gamma(states, 0.6)
 
+    def test_overlapping_windows_rejected(self):
+        # ceil(0.45 * 5) = 3: the windows [0, 3) and [2, 5) would share site 2
+        states = obc_eigenstates(params(1.0, 1.0, 3.0), 5)
+        with pytest.raises(ValidationError, match="overlap"):
+            gamma(states, 0.45)
+        with pytest.raises(ValidationError, match="overlap"):
+            classify_localization(states, 0.45)
+        # ceil(0.4 * 5) = 2 leaves site 2 to neither window
+        report = classify_localization(states, 0.4)
+        assert np.all(report.w_left + report.w_right <= 1.0 + 1e-12)
+
     def test_symmetric_profile_exactly_zero(self):
         dens = np.zeros((3, 10))
         dens[:, [0, 9]] = 0.3

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import DR, params, random_unit_vector
 from nahn import (
+    GaugeVector,
     KGrid,
     PhaseBoundaryError,
     ReferenceOnSpectrumError,
@@ -26,7 +27,7 @@ from nahn import (
 )
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.topology import NU_SENTINEL
+from nahn.topology import NU_SENTINEL, _boundary_residual
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -290,6 +291,45 @@ class TestPhaseBoundaryResidual:
             assert np.sign(r_a) != np.sign(r_b) or crosses_pole
 
 
+class TestBoundaryResidual:
+    def test_sign_matches_closed_form_for_orthogonal_directions(self):
+        axis = np.linspace(0.05, 4.0, 80)
+        for tL in axis:
+            for tR in axis[axis != tL]:
+                rho = _boundary_residual(params(1.0, tL, tR))
+                assert np.sign(rho) == np.sign(phase_boundary_residual(tL, tR)), (tL, tR)
+
+    def test_positive_exactly_where_nu_zero_for_general_parameters(self):
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(300):
+            t0, tL, tR = rng.uniform(0.1, 3.0, 3)
+            p = params(t0, tL, tR, dL=random_unit_vector(rng), dR=random_unit_vector(rng))
+            try:
+                nu = braiding_degree(p)
+            except PhaseBoundaryError:
+                continue
+            seen.add(nu)
+            assert (_boundary_residual(p) > 0) == (nu == 0)
+        assert {-2, 0, 2} <= seen
+
+    @pytest.mark.parametrize(
+        "dL", [GaugeVector(0.6, 0.0, 0.8), GaugeVector(-0.95, 0.0, np.sqrt(0.0975))], ids=["c=0.6", "c=-0.95"]
+    )
+    def test_sweep_column_brackets_every_transition(self, dL):
+        diagram = compute_phase_diagram((0.0, 4.0), 50, chain_N=4, dL=dL)
+        nu, rho = diagram.nu, diagram.boundary_residual
+        accepted = nu != NU_SENTINEL
+        assert np.all(np.isfinite(rho))
+        assert np.array_equal((rho > 0)[accepted], (nu == 0)[accepted])
+        sign = np.sign(rho)
+        # adjacent accepted cells along tR (rows of nu), then along tL (rows of nu.T)
+        for n, s in ((nu, sign), (nu.T, sign.T)):
+            changed = (n[:, :-1] != n[:, 1:]) & (n[:, :-1] != NU_SENTINEL) & (n[:, 1:] != NU_SENTINEL)
+            assert changed.any()
+            assert np.all(s[:, :-1][changed] != s[:, 1:][changed])
+
+
 class TestExceptionalScan:
     def test_linked_point_clean(self, p1):
         assert len(exceptional_scan(p1, KGrid(1024), tol=1e-3)) == 0
@@ -322,10 +362,9 @@ class TestPhaseDiagram:
         assert diagram.gamma[i2, j2] > 0.8
         accepted = diagram.nu[diagram.nu != NU_SENTINEL]
         assert set(np.unique(accepted)) <= {-2, 0, 2}
-        # residual degenerates exactly on the diagonal cells
-        assert np.all(np.isnan(np.diag(diagram.boundary_residual)))
-        off_diag = ~np.eye(8, dtype=bool)
-        assert np.all(np.isfinite(diagram.boundary_residual[off_diag]))
+        # the residual is finite on the diagonal too, where the closed form has its pole
+        assert np.all(np.isfinite(diagram.boundary_residual))
+        assert diagram.boundary_residual[i1, j1] < 0 and diagram.boundary_residual[i2, j2] < 0
 
     def test_balanced_cell_gamma_small(self):
         # samples 0.3, 0.6, ..., 2.4 include the bipolar point (1.2, 0.9)
@@ -354,6 +393,8 @@ class TestPhaseDiagram:
             compute_phase_diagram((2.0, 1.0), 8, chain_N=10)
         with pytest.raises(ValidationError):
             compute_phase_diagram((0.0, 4.0), 4, chain_N=10)
+        with pytest.raises(ValidationError):
+            compute_phase_diagram((0.0, 1e-160), 8, chain_N=10)
 
 
 @pytest.fixture
