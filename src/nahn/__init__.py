@@ -24,7 +24,6 @@ from .eigensolve import (
     BandTrajectories,
     Spectrum,
     chain_eig,
-    eig2x2,
     eig_dense,
     sort_bands_by_continuity,
 )

@@ -265,7 +265,6 @@ def simulated_measurement(
     N: int,
     protocol: MeasurementProtocol,
     noise: MeasurementNoise | None = None,
-    omega: float | None = None,
     include_r0: bool = True,
 ) -> np.ndarray:
     """Assemble the chain (optionally with component tolerances) and measure it.
@@ -281,8 +280,7 @@ def simulated_measurement(
         if protocol is MeasurementProtocol.PBC_UNIT_CELL
         else BoundaryCondition.OBC
     )
-    drive = (c.drive_frequency() if omega is None else float(omega))
-    J = circuit_chain(actual, N, bc, omega=drive, include_r0=include_r0)
+    J = circuit_chain(actual, N, bc, omega=c.drive_frequency(), include_r0=include_r0)
     return measure_admittance(J, protocol)
 
 

@@ -75,6 +75,11 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
 
 
+def _rows(*columns):
+    """Row tuples of plain Python ints and floats from equal-length numpy columns."""
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+
+
 def _nu(invariant, *args) -> dict:
     """Header fields for the braiding degree, or for the reason it failed."""
     try:
@@ -93,17 +98,13 @@ def _write_bands(out: Path, fmt: str, command: str, eff: dict, grid, pairs, raw_
     header = build_header(
         command, eff, kpoints=grid.n_points, band_swap=traj.band_swap, **extra,
     )
-    rows = []
-    for j, k in enumerate(grid.values):
-        for b in (0, 1):
-            e = traj.bands[b, j]
-            row = [float(k), b, float(e.real), float(e.imag)]
-            if raw_scale is not None:
-                raw = e * raw_scale
-                row += [float(raw.real), float(raw.imag)]
-            rows.append(tuple(row))
-    columns = BAND_COLUMNS if raw_scale is None else BAND_COLUMNS + RAW_COLUMNS
-    write_table(out, fmt, header, columns, rows)
+    e = traj.bands.T.ravel()
+    columns = [np.repeat(grid.values, 2), np.tile([0, 1], grid.n_points), e.real, e.imag]
+    if raw_scale is not None:
+        raw = e * raw_scale
+        columns += [raw.real, raw.imag]
+    names = BAND_COLUMNS if raw_scale is None else BAND_COLUMNS + RAW_COLUMNS
+    write_table(out, fmt, header, names, _rows(*columns))
 
 
 def _write_loci(out: Path, fmt: str, command: str, eff: dict, grid, loci, drive: float, **extra) -> None:
@@ -118,13 +119,11 @@ def _write_loci(out: Path, fmt: str, command: str, eff: dict, grid, loci, drive:
 
 def _eigenvalue_rows(shown: np.ndarray, raw: np.ndarray | None = None):
     """Rows (index, re_E, im_E[, re_j_S, im_j_S]) in canonical order of ``shown``."""
-    rows = []
-    for i, j in enumerate(_canonical_order(shown)):
-        row = (int(i), float(shown[j].real), float(shown[j].imag))
-        if raw is not None:
-            row += (float(raw[j].real), float(raw[j].imag))
-        rows.append(row)
-    return rows
+    order = _canonical_order(shown)
+    columns = [np.arange(len(order)), shown[order].real, shown[order].imag]
+    if raw is not None:
+        columns += [raw[order].real, raw[order].imag]
+    return _rows(*columns)
 
 
 def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -132,12 +131,13 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
     grid = topo.KGrid(cfg.kpoints)
     if cfg.model is not None:
         if cfg.boundary is BoundaryCondition.PBC:
+            nu = _nu(topo.braiding_degree, cfg.model)  # first: it rejects amplitudes that overflow the bands
             e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
             _write_bands(
                 out, fmt, "spectrum", eff, grid, np.column_stack([e_plus, e_minus]),
                 ep_tol=cfg.ep_tol, tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
                 exceptional_k=[float(k) for k in topo.exceptional_scan(cfg.model, grid, cfg.ep_tol)],
-                **_nu(topo.braiding_degree, cfg.model),
+                **nu,
             )
         else:
             N = _require_chain(cfg)
@@ -184,18 +184,13 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         threads=cfg.threads,
         progress=progress,
     )
-    rows = []
-    for i, tL in enumerate(diagram.tL_axis):
-        for j, tR in enumerate(diagram.tR_axis):
-            rows.append(
-                (
-                    float(tL),
-                    float(tR),
-                    int(diagram.nu[i, j]),
-                    float(diagram.gamma[i, j]),
-                    float(diagram.boundary_residual[i, j]),
-                )
-            )
+    rows = _rows(
+        np.repeat(diagram.tL_axis, len(diagram.tR_axis)),
+        np.tile(diagram.tR_axis, len(diagram.tL_axis)),
+        diagram.nu.ravel(),
+        diagram.gamma.ravel(),
+        diagram.boundary_residual.ravel(),
+    )
     header = build_header(
         "phase-diagram",
         eff,
@@ -208,14 +203,15 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _states_rows(states: sk.EigenstateSet, eigenvalues: np.ndarray, order: np.ndarray):
-    rows = []
-    for idx, j in enumerate(order):
-        e = eigenvalues[j]
-        for site in range(states.n_sites):
-            rows.append(
-                (int(idx), float(e.real), float(e.imag), site + 1, float(states.densities[j, site]))
-            )
-    return rows
+    """Rows (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1."""
+    e = np.repeat(eigenvalues[order], states.n_sites)
+    return _rows(
+        np.repeat(np.arange(len(order)), states.n_sites),
+        e.real,
+        e.imag,
+        np.tile(np.arange(1, states.n_sites + 1), len(order)),
+        states.densities[order].ravel(),
+    )
 
 
 def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -250,15 +246,11 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         "bipolar": report.bipolar,
         "counts": report.counts(),
         "states": [
-            {
-                "state_index": int(idx),
-                "re_E": float(shown[j].real),
-                "im_E": float(shown[j].imag),
-                "class": report.classes[j],
-                "w_left": float(report.w_left[j]),
-                "w_right": float(report.w_right[j]),
-            }
-            for idx, j in enumerate(order)
+            dict(zip(("state_index", "re_E", "im_E", "class", "w_left", "w_right"), row))
+            for row in _rows(
+                np.arange(len(order)), shown[order].real, shown[order].imag,
+                np.asarray(report.classes)[order], report.w_left[order], report.w_right[order],
+            )
         ],
     }
     write_report(out.with_name(f"{out.stem}.report.json"), payload)

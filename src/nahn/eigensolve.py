@@ -4,8 +4,7 @@
 Hessenberg reduction, shifted QR with deflation, back-substitution for the
 right eigenvectors) as provided by LAPACK through numpy, and adds the
 residual bookkeeping and eigenvector gauge required by the rest of the
-package. ``eigvals2x2`` (stacked) and ``eig2x2`` implement the 2x2 closed
-form independently so that the two routes can be cross-checked.
+package. ``eigvals2x2`` is the stacked 2x2 closed form.
 
 ``chain_eig`` solves an open chain of 2x2 blocks at half the size when the
 chain is chiral: once the on-site identity part (a common shift) is
@@ -121,10 +120,9 @@ class Spectrum:
     ``right_eigenvectors`` holds one unit-norm column per eigenvalue, with
     the largest-magnitude component rotated to be real and positive so that
     output files are reproducible. ``residuals`` are
-    ``||M v - lambda v||_2 / max(1, ||M||_F)``; an infinite entry marks a
-    duplicated eigenvector returned for a defective matrix. ``solver``
-    names the route: ``"dense"`` (LAPACK on the full matrix), ``"chiral"``
-    (``chain_eig``'s half-size solve) or ``"2x2"`` (the closed form).
+    ``||M v - lambda v||_2 / max(1, ||M||_F)``. ``solver`` names the
+    route: ``"dense"`` (LAPACK on the full matrix) or ``"chiral"``
+    (``chain_eig``'s half-size solve).
     """
 
     eigenvalues: np.ndarray
@@ -162,42 +160,6 @@ def eigvals2x2(M: np.ndarray) -> np.ndarray:
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     disc = np.sqrt(half_tr * half_tr - det)
     return np.column_stack([half_tr + disc, half_tr - disc])
-
-
-def eig2x2(M) -> Spectrum:
-    """Closed-form eigendecomposition of a 2x2 complex matrix.
-
-    Eigenvalues come from :func:`eigvals2x2`; eigenvectors come from the
-    null space of ``M - lambda I`` using the numerically larger row as the
-    constraint. A defective input yields a repeated eigenvalue and the
-    same eigenvector twice, with the duplicate's residual set to ``inf``.
-    """
-    M = _check_square(M)
-    if M.shape != (2, 2):
-        raise ValidationError(f"eig2x2 needs a 2x2 matrix, got {M.shape}")
-    lams = eigvals2x2(M[np.newaxis])[0]
-
-    vecs = []
-    for lam in lams:
-        r1 = np.array([M[0, 0] - lam, M[0, 1]])
-        r2 = np.array([M[1, 0], M[1, 1] - lam])
-        row = r1 if np.linalg.norm(r1) >= np.linalg.norm(r2) else r2
-        if np.linalg.norm(row) == 0.0:
-            # M is lam * I; any basis works
-            vecs.append(np.array([1.0 + 0j, 0.0]))
-            continue
-        v = np.array([-row[1], row[0]])
-        vecs.append(v / np.linalg.norm(v))
-    V = _fix_gauge(np.column_stack(vecs))
-    res = _residuals(M, lams, V)
-    if lams[0] == lams[1] and abs(np.vdot(V[:, 0], V[:, 1])) > 1.0 - 1e-10:
-        if np.linalg.norm(M - lams[0] * np.eye(2)) > 0.0:
-            # defective: only one independent eigenvector exists
-            res[1] = np.inf
-        else:
-            V = np.eye(2, dtype=complex)
-            res = _residuals(M, lams, V)
-    return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=res, solver="2x2")
 
 
 def _lapack_eig(M: np.ndarray, eigenvectors: bool):
@@ -360,9 +322,9 @@ def sort_bands_by_continuity(k_values, pairs) -> BandTrajectories:
 
     ``k_values`` must be a uniform, ordered grid over [0, 2 pi) with at
     least 16 points; ``pairs`` has shape ``(n, 2)`` holding the raw
-    eigenvalues at each grid point. At every step the pairing minimizing
-    the total |Delta E| is chosen; ties within ``NEAR_DEGENERACY_TOL`` keep
-    the previous ordering.
+    eigenvalues at each grid point, all finite. At every step the pairing
+    minimizing the total |Delta E| is chosen; ties within
+    ``NEAR_DEGENERACY_TOL`` keep the previous ordering.
     """
     k = np.asarray(k_values, dtype=float)
     E = np.asarray(pairs, dtype=complex)
@@ -370,6 +332,8 @@ def sort_bands_by_continuity(k_values, pairs) -> BandTrajectories:
         raise ValidationError(f"need a 1-d k grid with >= 16 points, got {k.shape}")
     if E.shape != (len(k), 2):
         raise ValidationError(f"pairs must have shape ({len(k)}, 2), got {E.shape}")
+    if not np.all(np.isfinite(E)):
+        raise ValidationError("band pairs contain non-finite eigenvalues")
     spacing = np.diff(k)
     expected = 2.0 * np.pi / len(k)
     if k[0] != 0.0 or not np.allclose(spacing, expected, rtol=0, atol=1e-9):

@@ -2,7 +2,8 @@
 
 Floats are written with 17 significant digits so files round-trip exactly
 and repeated runs with the same configuration are byte-identical. Headers
-never contain wall-clock information.
+never contain wall-clock information. Files are streamed to disk as they
+are formatted.
 """
 
 from __future__ import annotations
@@ -27,18 +28,8 @@ def build_header(command: str, effective_cfg: dict, **extra) -> dict:
     return header
 
 
-def format_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _sanitize(obj):
-    """Make header/row values strict-JSON serializable (NaN/inf -> null)."""
+    """Make header and report values strict-JSON serializable (NaN/inf -> null, numpy scalars -> Python)."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -50,37 +41,46 @@ def _sanitize(obj):
     return obj
 
 
+def _open(path):
+    """``path`` opened for writing with ``\n`` line ends, its directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path.open("w", newline="\n")
+
+
+def _dump_json(doc, f) -> None:
+    json.dump(doc, f, sort_keys=True, indent=1)
+    f.write("\n")
+
+
 def write_table(path, fmt: str, header: dict, columns, rows) -> Path:
     """Write a rectangular table with a provenance header.
 
-    CSV files carry the header as one ``#``-prefixed JSON comment line
-    followed by the column line; JSON files hold
-    ``{"header": ..., "columns": ..., "rows": ...}``.
+    ``rows`` is a sequence of tuples of Python ints and floats. CSV files
+    carry the header as one ``#``-prefixed JSON comment line followed by
+    the column line, and write NaN and infinities as ``nan``/``inf``; JSON
+    files hold ``{"header": ..., "columns": ..., "rows": ...}`` with
+    ``null`` in their place.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        lines = ["# " + json.dumps(_sanitize(header), sort_keys=True)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(format_value(v) for v in row))
-        path.write_text("\n".join(lines) + "\n", newline="\n")
-    elif fmt == "json":
-        doc = {
-            "header": _sanitize(header),
-            "columns": list(columns),
-            "rows": [_sanitize(list(row)) for row in rows],
-        }
-        path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", newline="\n")
-    else:
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    return path
+    with _open(path) as f:
+        if fmt == "csv":
+            f.write("# " + json.dumps(_sanitize(header), sort_keys=True) + "\n")
+            f.write(",".join(columns) + "\n")
+            line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+            f.writelines(line.format(*row) for row in rows)
+        else:
+            rows = [
+                row if all(map(math.isfinite, row)) else [v if math.isfinite(v) else None for v in row]
+                for row in rows
+            ]
+            _dump_json({"header": _sanitize(header), "columns": list(columns), "rows": rows}, f)
+    return Path(path)
 
 
 def write_report(path, payload: dict) -> Path:
     """Write a standalone JSON report document."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(_sanitize(payload), sort_keys=True, indent=1) + "\n", newline="\n")
-    return path
-
+    with _open(path) as f:
+        _dump_json(_sanitize(payload), f)
+    return Path(path)

@@ -116,6 +116,25 @@ def _quartic(p: ModelParams) -> np.ndarray:
     ])
 
 
+def _root_radii(coeffs: np.ndarray) -> np.ndarray:
+    """``|z|`` of the roots of a polynomial, coefficients highest power first.
+
+    Raises ``ValidationError`` when the coefficients are not finite (an
+    amplitude near ``1e154`` or above squares to ``inf``) or ``np.roots``
+    cannot form a finite companion matrix (a leading coefficient so small
+    against the others that their ratio overflows).
+    """
+    if not np.all(np.isfinite(coeffs)):
+        raise ValidationError(f"amplitudes too large: polynomial coefficients {coeffs.tolist()} are not finite")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow here ends in LinAlgError
+            return np.abs(np.roots(coeffs))
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(
+            f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}"
+        ) from exc
+
+
 def _zeros_inside(coeffs: np.ndarray, error: type, what: str) -> int:
     """Roots inside ``|z| < 1`` minus 2: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
 
@@ -125,7 +144,7 @@ def _zeros_inside(coeffs: np.ndarray, error: type, what: str) -> int:
     """
     if not np.any(coeffs):
         raise error(f"{what}: determinant vanishes identically")
-    radii = np.abs(np.roots(coeffs))
+    radii = _root_radii(coeffs)
     if np.any(np.abs(radii - 1.0) < ROOT_CIRCLE_TOL):
         raise error(f"{what}: determinant vanishes on the momentum loop (root on |z| = 1)")
     return int(np.sum(radii < 1.0)) - 2
@@ -241,7 +260,7 @@ def _boundary_residual(p: ModelParams) -> float:
     and ``t0`` the residual is positive exactly where ``nu = 0`` (two roots
     inside ``|z| < 1``) and changes sign wherever a root crosses the circle.
     """
-    r = np.sort(np.abs(np.roots(_quartic(p))))
+    r = np.sort(_root_radii(_quartic(p)))
     return float(-(r[1] - 1.0) * (r[2] - 1.0))
 
 
@@ -305,7 +324,9 @@ def compute_phase_diagram(
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
-    floor = np.sqrt(np.finfo(float).tiny)  # smaller hoppings square to subnormals or 0 in P, where np.roots fails
+    # smaller hoppings square to subnormals, which _root_radii rejects, or to
+    # 0, which drops roots of P that _boundary_residual indexes
+    floor = np.sqrt(np.finfo(float).tiny)
     if axis[0] < floor:
         raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")
 

@@ -15,6 +15,7 @@ from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ConfigError
 from nahn.eigensolve import _openblas_thread_controls
+from nahn.output import write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -117,6 +118,34 @@ class TestConfigParsing:
         a = config_hash({"x": 1, "y": [2, 3]})
         b = config_hash({"y": [2, 3], "x": 1})
         assert a == b and len(a) == 64
+
+
+class TestWriteTable:
+    HEADER = {"gamma": float("nan"), "n": np.int64(3)}
+    ROWS = [(0, 1.5, float("nan")), (1, -0.0, float("inf")), (2, 0.1, float("-inf"))]
+
+    def test_csv_writes_nan_inf_and_signed_zero(self, tmp_path):
+        path = write_table(tmp_path / "new" / "t.csv", "csv", self.HEADER, ["i", "x", "y"], self.ROWS)
+        assert path.read_text() == (
+            '# {"gamma": null, "n": 3}\ni,x,y\n0,1.5,nan\n1,-0,inf\n2,0.10000000000000001,-inf\n'
+        )
+
+    def test_json_writes_null_for_non_finite(self, tmp_path):
+        path = write_table(tmp_path / "new" / "t.json", "json", self.HEADER, ["i", "x", "y"], self.ROWS)
+        assert path.read_text().split("\n") == [
+            "{", ' "columns": [', '  "i",', '  "x",', '  "y"', " ],",
+            ' "header": {', '  "gamma": null,', '  "n": 3', " },",
+            ' "rows": [',
+            "  [", "   0,", "   1.5,", "   null", "  ],",
+            "  [", "   1,", "   -0.0,", "   null", "  ],",
+            "  [", "   2,", "   0.1,", "   null", "  ]",
+            " ]", "}", "",
+        ]
+
+    def test_unknown_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown output format"):
+            write_table(tmp_path / "t.txt", "txt", {}, ["i"], [(0,)])
+        assert not (tmp_path / "t.txt").exists()
 
 
 class TestSpectrumCommand:
@@ -353,6 +382,25 @@ class TestMeasureCommand:
     def test_model_config_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "chain_N = 10\n")
         assert main(["measure", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+SWEEP_CFG = "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0,0,1]\ndR = [1,0,0]\nt_min = 0.0\nresolution = 8\nchain_N = 10\n"
+
+
+class TestOutOfRangeAmplitudes:
+    # squares of the amplitudes overflow, turn subnormal, or lie so far apart
+    # that the quartic's companion matrix overflows
+    @pytest.mark.parametrize("command, text", [
+        ("spectrum", MODEL_CFG.replace("tL = 1.0", "tL = 1e160")),
+        ("spectrum", MODEL_CFG.replace("tL = 1.0", "tL = 1e-160")),
+        ("spectrum", MODEL_CFG.replace("t0 = 1.0", "t0 = 1e10").replace("tL = 1.0", "tL = 1e-150")),
+        ("phase-diagram", SWEEP_CFG + "t_max = 1e160\n"),
+    ], ids=["tL-1e160", "tL-1e-160", "t0-1e10-tL-1e-150", "sweep-t_max-1e160"])
+    def test_config_error(self, tmp_path, command, text, capsys):
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: amplitudes too ")
+        assert not out.exists()
 
 
 class TestDeterminismAndEntryPoint:

@@ -12,61 +12,19 @@ from nahn import (
     ValidationError,
     analytic_eigenvalues,
     chain_eig,
-    eig2x2,
     eig_dense,
     gamma,
     sort_bands_by_continuity,
 )
 from nahn import eigensolve
 from nahn.circuit import NF, circuit_blocks
-from nahn.model import SIGMA_X, chain_blocks, chain_matrix
+from nahn.eigensolve import eigvals2x2
+from nahn.model import chain_blocks, chain_matrix
 from nahn.skin import EigenstateSet, densities_from_eigenvectors
 
 
 def random_complex(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-class TestEig2x2:
-    def test_identity(self):
-        spec = eig2x2(np.eye(2))
-        assert multiset_match(spec.eigenvalues, [1.0, 1.0]) == 0.0
-
-    def test_sigma_x(self):
-        spec = eig2x2(SIGMA_X)
-        assert multiset_match(spec.eigenvalues, [1.0, -1.0]) < 1e-15
-
-    def test_symmetric_offdiagonal(self):
-        spec = eig2x2(np.array([[1.0, 4.0], [4.0, -1.0]]))
-        assert multiset_match(spec.eigenvalues, [np.sqrt(17), -np.sqrt(17)]) < 1e-14
-
-    def test_residuals_small(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            spec = eig2x2(random_complex(rng, 2))
-            assert np.all(spec.residuals < 1e-12)
-
-    def test_gauge_fixed_vectors(self):
-        spec = eig2x2(np.array([[0.0, 1.0], [1.0, 0.0]]) * 1j)
-        for col in spec.right_eigenvectors.T:
-            pivot = col[np.argmax(np.abs(col))]
-            assert abs(np.linalg.norm(col) - 1.0) < 1e-14
-            assert pivot.imag == pytest.approx(0.0, abs=1e-14) and pivot.real > 0
-
-    def test_defective_matrix_flagged(self):
-        spec = eig2x2(np.array([[2.0, 1.0], [0.0, 2.0]]))
-        assert spec.eigenvalues[0] == spec.eigenvalues[1] == 2.0
-        assert np.isinf(spec.residuals[1])
-        v0, v1 = spec.right_eigenvectors.T
-        assert abs(abs(np.vdot(v0, v1)) - 1.0) < 1e-12
-
-    def test_scalar_matrix_keeps_two_vectors(self):
-        spec = eig2x2(3.5 * np.eye(2))
-        assert abs(np.vdot(spec.right_eigenvectors[:, 0], spec.right_eigenvectors[:, 1])) < 1e-14
-
-    def test_wrong_shape(self):
-        with pytest.raises(ValidationError):
-            eig2x2(np.eye(3))
 
 
 class TestEigDense:
@@ -114,11 +72,11 @@ class TestEigDense:
         spec = eig_dense(H, eigenvectors=False)
         assert np.max(np.abs(spec.eigenvalues.imag)) <= 1e-10 * np.linalg.norm(H)
 
-    def test_agrees_with_eig2x2(self):
+    def test_agrees_with_eigvals2x2(self):
         rng = np.random.default_rng(12)
         for _ in range(100):
             M = random_complex(rng, 2)
-            assert multiset_match(eig_dense(M).eigenvalues, eig2x2(M).eigenvalues) < 1e-11
+            assert multiset_match(eig_dense(M).eigenvalues, eigvals2x2(M[np.newaxis])[0]) < 1e-11
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
@@ -308,3 +266,7 @@ class TestBandSorting:
             sort_bands_by_continuity(np.linspace(0, 1, 8), np.zeros((8, 2)))
         with pytest.raises(ValidationError):
             sort_bands_by_continuity(np.linspace(0.1, 2 * np.pi, 64), np.zeros((64, 2)))
+        pairs = np.zeros((64, 2), dtype=complex)
+        pairs[3, 1] = complex(np.inf, 0.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            sort_bands_by_continuity(2 * np.pi * np.arange(64) / 64, pairs)

@@ -113,6 +113,14 @@ class TestBraidingDegree:
         with pytest.raises(PhaseBoundaryError):
             braiding_degree(params(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("t0, tL", [(1.0, 1e160), (1.0, 1e-160), (1e10, 1e-150)])
+    def test_out_of_range_amplitudes_rejected(self, t0, tL):
+        # the quartic's coefficients overflow, or np.roots's companion matrix does
+        p = params(t0, tL, 3.0)
+        for count in (lambda: braiding_degree(p), lambda: spectral_winding(p, 0.5j), lambda: _boundary_residual(p)):
+            with pytest.raises(ValidationError, match="amplitudes too"):
+                count()
+
     def test_identity_shift_invariance(self, p1):
         rng = np.random.default_rng(31)
         H = bloch_hamiltonian(p1, KGrid(256).values)
