@@ -49,13 +49,10 @@ from .model import (
     real_space_hamiltonian,
 )
 from .skin import (
-    EigenstateSet,
     LocalizationReport,
     abelian_control,
-    chain_eigenstates,
     classify_localization,
     densities_from_eigenvectors,
-    eigenstates_from_matrix,
     gamma,
     obc_eigenstates,
 )

@@ -27,7 +27,7 @@ from .errors import (
     SingularNetworkError,
     ValidationError,
 )
-from .eigensolve import chain_eig, eigvals2x2, sort_bands_by_continuity
+from .eigensolve import chain_eig, eig_dense, eigvals2x2, sort_bands_by_continuity
 from .model import BoundaryCondition, analytic_eigenvalues, chain_blocks
 from .output import build_header, write_report, write_table
 
@@ -202,15 +202,16 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
     write_table(out, fmt, header, PHASE_COLUMNS, rows)
 
 
-def _states_rows(states: sk.EigenstateSet, eigenvalues: np.ndarray, order: np.ndarray):
+def _states_rows(densities: np.ndarray, eigenvalues: np.ndarray, order: np.ndarray):
     """Rows (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1."""
-    e = np.repeat(eigenvalues[order], states.n_sites)
+    n_sites = densities.shape[1]
+    e = np.repeat(eigenvalues[order], n_sites)
     return _rows(
-        np.repeat(np.arange(len(order)), states.n_sites),
+        np.repeat(np.arange(len(order)), n_sites),
         e.real,
         e.imag,
-        np.tile(np.arange(1, states.n_sites + 1), len(order)),
-        states.densities[order].ravel(),
+        np.tile(np.arange(1, n_sites + 1), len(order)),
+        densities[order].ravel(),
     )
 
 
@@ -218,15 +219,16 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
     N = _require_chain(cfg)
     eff = _effective(cfg, "skin")
     if cfg.model is not None:
-        states = sk.obc_eigenstates(cfg.model, N)
-        shown = states.eigenvalues
+        spec = sk.obc_eigenstates(cfg.model, N)
+        shown = spec.eigenvalues
         units = "dimensionless"
     else:
         drive = cfg.circuit.drive_frequency()
-        states = sk.chain_eigenstates(*cct.circuit_blocks(cfg.circuit, drive, not cfg.zero_r0), N)
-        shown = states.eigenvalues / (1j * drive * cct.NF)
+        spec = chain_eig(*cct.circuit_blocks(cfg.circuit, drive, not cfg.zero_r0), N)
+        shown = spec.eigenvalues / (1j * drive * cct.NF)
         units = "nF"
-    report = sk.classify_localization(states, cfg.window_fraction, cfg.loc_threshold)
+    densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
+    report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
     order = _canonical_order(shown)
     header = build_header(
         "skin",
@@ -237,9 +239,9 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         bipolar=report.bipolar,
         window_fraction=cfg.window_fraction,
         loc_threshold=cfg.loc_threshold,
-        solver=states.solver,
+        solver=spec.solver,
     )
-    write_table(out, fmt, header, STATE_COLUMNS, _states_rows(states, shown, order))
+    write_table(out, fmt, header, STATE_COLUMNS, _states_rows(densities, shown, order))
     payload = {
         "header": header,
         "gamma": report.gamma,
@@ -280,8 +282,9 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
         "sigma": None if noise is None else noise.component_rel_sigma,
         "seed": None if noise is None else noise.seed,
     }
-    states = sk.eigenstates_from_matrix(J_rec)
-    shown = states.eigenvalues * (1.0 / (1j * drive * cct.NF))
+    spec = eig_dense(J_rec)
+    densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
+    shown = spec.eigenvalues * (1.0 / (1j * drive * cct.NF))
     meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol.value, "eigenvalue_units": "nF"}
     if protocol is cct.MeasurementProtocol.PBC_UNIT_CELL:
         grid = topo.KGrid(cfg.kpoints)
@@ -289,10 +292,10 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
         _write_loci(out, fmt, "measure", eff, grid, loci, drive, noise=noise_meta, protocol=protocol.value)
         header = build_header("measure", eff, chain_N=N, **meta)
     else:
-        report = sk.classify_localization(states, cfg.window_fraction, cfg.loc_threshold)
+        report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
         header = build_header("measure", eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
-        write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, _eigenvalue_rows(shown, states.eigenvalues))
-    rows = _states_rows(states, shown, _canonical_order(shown))
+        write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, _eigenvalue_rows(shown, spec.eigenvalues))
+    rows = _states_rows(densities, shown, _canonical_order(shown))
     write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, STATE_COLUMNS, rows)
 
 

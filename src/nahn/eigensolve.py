@@ -191,6 +191,14 @@ def eig_dense(M, eigenvectors: bool = True) -> Spectrum:
         return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=_residuals(M, lams, V))
 
 
+def _power_of_two_below(x: np.ndarray) -> float:
+    """``2**-e`` with ``2**(e-1) <= max |x| < 2**e``: an exact scale taking ``x`` below 1 in magnitude.
+
+    Capped at ``2**1023`` for subnormal ``x``, whose ``2**-e`` would overflow.
+    """
+    return np.ldexp(1.0, min(-np.frexp(np.max(np.abs(x)))[1], 1023))
+
+
 def _chiral_blocks(blocks: np.ndarray):
     """Unitary ``U`` and the blocks ``U^H b U``, off-diagonal for every block, or None.
 
@@ -201,11 +209,15 @@ def _chiral_blocks(blocks: np.ndarray):
     columns are the ``+1`` and ``-1`` eigenvectors of ``n . sigma``. An
     identity part in a hopping or a Pauli vector off the plane leaves a
     diagonal entry above ``CHIRAL_TOL``, and the chain is not chiral.
+    The tests run on the blocks scaled by a power of two near their largest
+    entry, so that no square overflows and the result does not depend on
+    the scale.
     """
+    scaled = blocks * _power_of_two_below(blocks)
     pauli = np.stack([
-        blocks[:, 0, 1] + blocks[:, 1, 0],
-        1j * (blocks[:, 0, 1] - blocks[:, 1, 0]),
-        blocks[:, 0, 0] - blocks[:, 1, 1],
+        scaled[:, 0, 1] + scaled[:, 1, 0],
+        1j * (scaled[:, 0, 1] - scaled[:, 1, 0]),
+        scaled[:, 0, 0] - scaled[:, 1, 1],
     ], axis=1)
     vectors = np.concatenate([pauli.real, pauli.imag])
     a = vectors[np.argmax(np.linalg.norm(vectors, axis=1))]
@@ -220,11 +232,10 @@ def _chiral_blocks(blocks: np.ndarray):
         n = -n
     U = np.array([[1.0 + n[2], -(n[0] - 1j * n[1])], [n[0] + 1j * n[1], 1.0 + n[2]]])
     U /= np.sqrt(2.0 * (1.0 + n[2]))
-    rotated = U.conj().T @ blocks @ U
-    scale = np.max(np.linalg.norm(blocks, axis=(1, 2)))
-    if np.max(np.abs(rotated[:, [0, 1], [0, 1]])) > CHIRAL_TOL * scale:
+    diagonal = (U.conj().T @ scaled @ U)[:, [0, 1], [0, 1]]
+    if np.max(np.abs(diagonal)) > CHIRAL_TOL * np.max(np.linalg.norm(scaled, axis=(1, 2))):
         return None
-    return U, rotated
+    return U, U.conj().T @ blocks @ U
 
 
 def _tridiagonal_product(a, b, N: int) -> np.ndarray:
@@ -243,13 +254,17 @@ def _tridiagonal_product(a, b, N: int) -> np.ndarray:
     return P
 
 
-def _chiral_solve(on, left, right, N, shift, U, rotated, eigenvectors):
-    """The chiral spectrum, or None where ``chain_eig`` must fall back."""
+def _chiral_solve(on, left, right, N, shift, norm, U, rotated, eigenvectors):
+    """The chiral spectrum, or None where ``chain_eig`` must fall back.
+
+    ``norm`` is the assembled chain's Frobenius norm.
+    """
     a = rotated[:, 0, 1]  # A: the (+, -) entries of on-site, leftward, rightward blocks
     b = rotated[:, 1, 0]
     AB = _tridiagonal_product(a, b, N)
     mu, u = _lapack_eig(AB, eigenvectors)
-    if np.min(np.abs(mu)) <= ZERO_MODE_TOL * np.linalg.norm(AB):
+    s = _power_of_two_below(AB)
+    if np.min(np.abs(mu)) * s <= ZERO_MODE_TOL * np.linalg.norm(AB * s):
         return None
     root = np.sqrt(mu)
     lams = np.concatenate([shift + root, shift - root])
@@ -269,7 +284,6 @@ def _chiral_solve(on, left, right, N, shift, U, rotated, eigenvectors):
     R = on @ Vs - Vs * lams
     R[:-1] += left @ Vs[1:]
     R[1:] += right @ Vs[:-1]
-    norm = np.sqrt(N * np.vdot(on, on).real + (N - 1) * (np.vdot(left, left).real + np.vdot(right, right).real))
     res = np.linalg.norm(R.reshape(2 * N, 2 * N), axis=0) / max(1.0, norm)
     if not np.all(res <= CHIRAL_RESIDUAL_BOUND):
         return None
@@ -284,17 +298,25 @@ def chain_eig(on, left, right, N: int, eigenvectors: bool = True) -> Spectrum:
     the result says which (see the module docstring for the fallbacks).
     The chiral eigenvalues come as ``shift + sqrt(mu)`` followed by
     ``shift - sqrt(mu)``. Residuals are taken against the assembled chain.
+    Amplitudes whose squares overflow, so that the chain's squared
+    Frobenius norm is not finite, raise ``ValidationError``.
     """
     if N < 2:
         raise ValidationError(f"chain needs at least 2 sites, got N={N}")
     on, left, right = (_check_square(b) for b in (on, left, right))
     if on.shape != (2, 2) or left.shape != (2, 2) or right.shape != (2, 2):
         raise ValidationError("chain blocks must be 2x2")
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(N * np.vdot(on, on).real + (N - 1) * (np.vdot(left, left).real + np.vdot(right, right).real))
+    if not np.isfinite(norm):
+        raise ValidationError(
+            f"amplitudes too large: the squared norm of the {2 * N}x{2 * N} open chain is not finite"
+        )
     with _single_threaded_blas():
         shift = 0.5 * (on[0, 0] + on[1, 1])
         chiral = _chiral_blocks(np.stack([on - shift * np.eye(2), left, right]))
         if chiral is not None:
-            spec = _chiral_solve(on, left, right, N, shift, *chiral, eigenvectors)
+            spec = _chiral_solve(on, left, right, N, shift, norm, *chiral, eigenvectors)
             if spec is not None:
                 return spec
         return eig_dense(chain_matrix(on, left, right, N, BoundaryCondition.OBC), eigenvectors)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .eigensolve import Spectrum, chain_eig, eig_dense
+from .eigensolve import Spectrum, chain_eig
 from .model import GaugeVector, ModelParams, chain_blocks
 
 #: Fraction of the chain counted as each boundary window.
@@ -19,21 +19,6 @@ DEFAULT_THRESHOLD = 0.5
 
 #: Minimum fraction of states on each side for the bipolar verdict.
 BIPOLAR_STATE_FRACTION = 0.1
-
-
-@dataclass
-class EigenstateSet:
-    """Eigenvalues and per-site densities of a two-component chain.
-
-    ``densities[n, x]`` is the weight of state n on site x, summed over the
-    two pseudospin components and normalized so each state's site densities
-    add up to 1. ``solver`` is the eigensolver route (see ``Spectrum``).
-    """
-
-    n_sites: int
-    eigenvalues: np.ndarray
-    densities: np.ndarray
-    solver: str = "dense"
 
 
 @dataclass
@@ -65,41 +50,16 @@ def densities_from_eigenvectors(V: np.ndarray) -> np.ndarray:
     return (site_dens / site_dens.sum(axis=0, keepdims=True)).T
 
 
-def _eigenstates(spec: Spectrum) -> EigenstateSet:
-    V = spec.right_eigenvectors
-    return EigenstateSet(
-        n_sites=V.shape[0] // 2,
-        eigenvalues=spec.eigenvalues,
-        densities=densities_from_eigenvectors(V),
-        solver=spec.solver,
-    )
+def obc_eigenstates(p: ModelParams, N: int) -> Spectrum:
+    """Eigenpairs of the open chain (``chain_eig`` of ``chain_blocks(p)``)."""
+    return chain_eig(*chain_blocks(p), N)
 
 
-def eigenstates_from_matrix(M: np.ndarray) -> EigenstateSet:
-    """Diagonalize a 2N x 2N chain operator densely and collect site densities.
-
-    For matrices with no block structure to exploit, such as measured ones,
-    whose noise breaks the chiral symmetry ``chain_eig`` uses.
-    """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2 != 0:
-        raise ValidationError(f"expected a square 2N x 2N matrix, got {M.shape}")
-    return _eigenstates(eig_dense(M))
-
-
-def chain_eigenstates(on, left, right, N: int) -> EigenstateSet:
-    """Eigenpairs and site densities of the open chain of 2x2 blocks (``chain_eig``)."""
-    return _eigenstates(chain_eig(on, left, right, N))
-
-
-def obc_eigenstates(p: ModelParams, N: int) -> EigenstateSet:
-    """Eigenpairs of the open chain with per-site densities."""
-    if N < 4:
-        raise ValidationError(f"localization analysis needs N >= 4 sites, got {N}")
-    return chain_eigenstates(*chain_blocks(p), N)
-
-
-def _window(n_sites: int, fraction: float) -> int:
+def _window(densities: np.ndarray, fraction: float) -> int:
+    """Sites in each boundary window of ``(n_states, n_sites)`` densities."""
+    n_sites = densities.shape[1]
+    if n_sites < 4:
+        raise ValidationError(f"localization analysis needs N >= 4 sites, got {n_sites}")
     if not 0.0 < fraction < 0.5:
         raise ValidationError(f"window fraction must lie in (0, 0.5), got {fraction}")
     w = int(np.ceil(fraction * n_sites))
@@ -108,37 +68,39 @@ def _window(n_sites: int, fraction: float) -> int:
     return w
 
 
-def gamma(states: EigenstateSet, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> float:
+def gamma(densities: np.ndarray, window_fraction: float = DEFAULT_WINDOW_FRACTION) -> float:
     """Boundary-density contrast (D_L - D_R) / (D_L + D_R) in [-1, 1].
 
-    D_L and D_R aggregate the normalized densities of all states over the
+    ``densities`` is the ``(n_states, n_sites)`` array of
+    :func:`densities_from_eigenvectors`. D_L and D_R aggregate it over the
     first and last ``ceil(window_fraction * N)`` sites; +1 means fully
     left-localized, -1 fully right-localized, near 0 either extended or
     balanced between the two edges.
     """
-    w = _window(states.n_sites, window_fraction)
+    w = _window(densities, window_fraction)
     # exactly rounded sums make the mirror relabeling negate gamma exactly
-    d_left = math.fsum(states.densities[:, :w].ravel())
-    d_right = math.fsum(states.densities[:, states.n_sites - w :].ravel())
+    d_left = math.fsum(densities[:, :w].ravel())
+    d_right = math.fsum(densities[:, -w:].ravel())
     return (d_left - d_right) / (d_left + d_right)
 
 
 def classify_localization(
-    states: EigenstateSet,
+    densities: np.ndarray,
     boundary_fraction: float = DEFAULT_WINDOW_FRACTION,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> LocalizationReport:
     """Label each state Left / Right / Extended by boundary-window weight.
 
-    A state is boundary-localized when one window holds more than
-    ``threshold`` of its density. The chain is bipolar when at least
-    ``BIPOLAR_STATE_FRACTION`` of the states sit on each side.
+    ``densities`` is as for :func:`gamma`. A state is boundary-localized
+    when one window holds more than ``threshold`` of its density. The chain
+    is bipolar when at least ``BIPOLAR_STATE_FRACTION`` of the states sit
+    on each side.
     """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
-    w = _window(states.n_sites, boundary_fraction)
-    w_left = states.densities[:, :w].sum(axis=1)
-    w_right = states.densities[:, states.n_sites - w :].sum(axis=1)
+    w = _window(densities, boundary_fraction)
+    w_left = densities[:, :w].sum(axis=1)
+    w_right = densities[:, -w:].sum(axis=1)
     classes = [
         "Left" if wl > threshold else "Right" if wr > threshold else "Extended"
         for wl, wr in zip(w_left, w_right)
@@ -152,7 +114,7 @@ def classify_localization(
         classes=classes,
         w_left=w_left,
         w_right=w_right,
-        gamma=gamma(states, boundary_fraction),
+        gamma=gamma(densities, boundary_fraction),
         bipolar=bipolar,
     )
 
@@ -170,6 +132,7 @@ def abelian_control(t_samples, N: int) -> bool:
     """
     for tL, tR in t_samples:
         p = ModelParams(t0=1.0, tL=float(tL), tR=float(tR), dL=ABELIAN_D, dR=ABELIAN_D)
-        if classify_localization(obc_eigenstates(p, N)).bipolar:
+        densities = densities_from_eigenvectors(obc_eigenstates(p, N).right_eigenvectors)
+        if classify_localization(densities).bipolar:
             return False
     return True

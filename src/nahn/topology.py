@@ -342,8 +342,8 @@ def compute_phase_diagram(
         except NumericalError:
             nu_ij = NU_SENTINEL
         try:
-            states = skin.obc_eigenstates(p, chain_N)
-            gam_ij = skin.gamma(states)
+            V = skin.obc_eigenstates(p, chain_N).right_eigenvectors
+            gam_ij = skin.gamma(skin.densities_from_eigenvectors(V))
         except NumericalError:
             gam_ij = np.nan
         return i, j, nu_ij, gam_ij, _boundary_residual(p)

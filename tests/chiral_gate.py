@@ -40,13 +40,18 @@ from nahn.eigensolve import (
     _single_threaded_blas,
     _tridiagonal_product,
     chain_eig,
+    eig_dense,
 )
 from nahn.model import BoundaryCondition, chain_blocks, chain_matrix, real_space_hamiltonian
-from nahn.skin import eigenstates_from_matrix, gamma
+from nahn.skin import densities_from_eigenvectors, gamma
 
 DIRECTIONS = ((0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (0.0, 0.6, 0.8))
 DR = GaugeVector(1.0, 0.0, 0.0)
 GAMMA_BOUND = 1e-12
+
+
+def dense_gamma(M) -> float:
+    return gamma(densities_from_eigenvectors(eig_dense(M).right_eigenvectors))
 
 
 def cell(p: ModelParams, N: int) -> dict:
@@ -56,7 +61,7 @@ def cell(p: ModelParams, N: int) -> dict:
     spec = chain_eig(*blocks, N)
     out = {
         "solver": spec.solver,
-        "dense_gamma": gamma(eigenstates_from_matrix(M)),
+        "dense_gamma": dense_gamma(M),
         "residual": float(np.max(_residuals(M, spec.eigenvalues, spec.right_eigenvectors))),
     }
     chiral = _chiral_blocks(np.stack(blocks))
@@ -81,7 +86,7 @@ def gate(dL, resolution: int, N: int, threads: int) -> dict:
     beyond = []
     for k in np.flatnonzero(dgamma > GAMMA_BOUND):
         on, left, right = chain_blocks(params[k])
-        mirror = gamma(eigenstates_from_matrix(chain_matrix(on, right, left, N, BoundaryCondition.OBC)))
+        mirror = dense_gamma(chain_matrix(on, right, left, N, BoundaryCondition.OBC))
         beyond.append({
             "tL": params[k].tL, "tR": params[k].tR, "dgamma": float(dgamma[k]),
             "dense_spread": abs(dense[k] + mirror),

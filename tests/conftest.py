@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nahn import GaugeVector, ModelParams
+from nahn import GaugeVector, ModelParams, densities_from_eigenvectors
 
 DL = GaugeVector(0.0, 0.0, 1.0)
 DR = GaugeVector(1.0, 0.0, 0.0)
@@ -11,6 +11,11 @@ DR = GaugeVector(1.0, 0.0, 0.0)
 
 def params(t0, tL, tR, dL=DL, dR=DR):
     return ModelParams(t0=t0, tL=tL, tR=tR, dL=dL, dR=dR)
+
+
+def densities(spec):
+    """Per-site densities of a spectrum's right eigenvectors, as localization reads them."""
+    return densities_from_eigenvectors(spec.right_eigenvectors)
 
 
 def multiset_match(a, b):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import multiset_match, params
+from conftest import densities, multiset_match, params
 from nahn import (
     BoundaryCondition,
     CircuitParams,
@@ -32,7 +32,6 @@ from nahn import (
     classify_localization,
     compute_phase_diagram,
     eig_dense,
-    eigenstates_from_matrix,
     gamma,
     m_coefficients,
     obc_eigenstates,
@@ -138,10 +137,10 @@ def test_criterion_03_bipolar_regime():
         loop_windings.update(band_resolved_winding(traj, E0))
     assert {1, -1} <= loop_windings
 
-    states = obc_eigenstates(p, 100)
-    report = classify_localization(states)
+    dens = densities(obc_eigenstates(p, 100))
+    report = classify_localization(dens)
     assert report.bipolar
-    assert abs(gamma(states)) < 0.2
+    assert abs(gamma(dens)) < 0.2
 
 
 @pytest.mark.parametrize("N", [47, 100])
@@ -151,12 +150,12 @@ def test_criterion_04_monopolar_regime(N):
     nonzero = [w for w in ws if w != 0]
     assert nonzero and all(w < 0 for w in nonzero)
 
-    states = obc_eigenstates(p, N)
-    report = classify_localization(states)
+    dens = densities(obc_eigenstates(p, N))
+    report = classify_localization(dens)
     counts = report.counts()
     assert counts["Left"] == 0 and counts["Extended"] == 0
     assert counts["Right"] == 2 * N
-    assert gamma(states) < -0.8
+    assert gamma(dens) < -0.8
 
 
 def test_criterion_05_circuit_equivalence():
@@ -186,13 +185,13 @@ def test_criterion_06_circuit_figure_verdicts():
         loci = bloch_samples_from_chain(ring, KGrid(1024).values)
         assert braiding_degree_of_samples(loci) == nu
 
-    mono = eigenstates_from_matrix(circuit_chain(reference_circuit(10.0, 30.0), 47, OBC))
+    mono = densities(eig_dense(circuit_chain(reference_circuit(10.0, 30.0), 47, OBC)))
     report = classify_localization(mono)
     assert not report.bipolar
     assert report.counts()["Left"] == 0 and report.counts()["Right"] > 0
     assert report.gamma < -0.8
 
-    bipolar = eigenstates_from_matrix(circuit_chain(reference_circuit(12.0, 9.0), 47, OBC))
+    bipolar = densities(eig_dense(circuit_chain(reference_circuit(12.0, 9.0), 47, OBC)))
     assert classify_localization(bipolar).bipolar
 
 
@@ -232,7 +231,7 @@ def test_criterion_08_abelian_control_property():
     bipolar_hits = 0
     for tL, tR in samples:
         p = params(1.0, tL, tR)  # noncommuting directions dL=(0,0,1), dR=(1,0,0)
-        if classify_localization(obc_eigenstates(p, 60)).bipolar:
+        if classify_localization(densities(obc_eigenstates(p, 60))).bipolar:
             bipolar_hits += 1
     assert bipolar_hits >= 1
     assert time.monotonic() - start < 300.0
@@ -267,7 +266,7 @@ def test_criterion_09_measurement_round_trip():
         J_rec = simulated_measurement(
             open_chain, 47, MeasurementProtocol.OBC_ALL_NODES, noise=MeasurementNoise(0.01, seed)
         )
-        if classify_localization(eigenstates_from_matrix(J_rec)).bipolar:
+        if classify_localization(densities(eig_dense(J_rec))).bipolar:
             bipolar_hits += 1
     assert bipolar_hits >= 48
 

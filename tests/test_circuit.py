@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import multiset_match
+from conftest import densities, multiset_match
 from nahn import (
     BoundaryCondition,
     CircuitParams,
@@ -20,7 +20,7 @@ from nahn import (
     circuit_chain,
     circuit_to_model,
     classify_localization,
-    eigenstates_from_matrix,
+    eig_dense,
     m_coefficients,
     measure_admittance,
     resonance_frequency,
@@ -204,15 +204,15 @@ class TestCircuitChain:
         assert np.max(np.abs(J - expected)) < 1e-12 * abs(scale)
 
     def test_monopolar_regime(self):
-        states = eigenstates_from_matrix(circuit_chain(reference_circuit(10.0, 30.0), 47, OBC))
-        report = classify_localization(states)
+        dens = densities(eig_dense(circuit_chain(reference_circuit(10.0, 30.0), 47, OBC)))
+        report = classify_localization(dens)
         assert report.counts()["Left"] == 0 and report.counts()["Right"] > 0
         assert not report.bipolar
         assert report.gamma < -0.8
 
     def test_bipolar_regime(self):
-        states = eigenstates_from_matrix(circuit_chain(reference_circuit(12.0, 9.0), 47, OBC))
-        assert classify_localization(states).bipolar
+        dens = densities(eig_dense(circuit_chain(reference_circuit(12.0, 9.0), 47, OBC)))
+        assert classify_localization(dens).bipolar
 
     def test_braiding_from_loci_matches_model(self):
         c = reference_circuit(39.0, 30.0)

@@ -268,6 +268,15 @@ class TestSkinCommand:
         assert "overlap" in capsys.readouterr().err
         assert not (tmp_path / "skin.csv").exists()
 
+    @pytest.mark.parametrize("command, recipe", [("skin", "fig1g"), ("skin", "fig4def"), ("measure", "fig4def")])
+    def test_short_chain_rejected(self, tmp_path, command, recipe, capsys):
+        text = (RECIPES / f"{recipe}.cfg").read_text()
+        cfg = write_cfg(tmp_path, text.replace("chain_N = 100", "chain_N = 3").replace("chain_N = 47", "chain_N = 3"))
+        out = tmp_path / "x.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "N >= 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_monopolar_circuit_recipe(self, tmp_path):
         out = tmp_path / "fig4abc.csv"
         assert main(["skin", "--config", str(RECIPES / "fig4abc.cfg"), "--out", str(out)]) == 0
@@ -384,6 +393,7 @@ class TestMeasureCommand:
         assert main(["measure", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+OPEN_CFG = MODEL_CFG.replace("boundary = PBC", "boundary = OBC\nchain_N = 10")
 SWEEP_CFG = "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0,0,1]\ndR = [1,0,0]\nt_min = 0.0\nresolution = 8\nchain_N = 10\n"
 
 
@@ -395,7 +405,9 @@ class TestOutOfRangeAmplitudes:
         ("spectrum", MODEL_CFG.replace("tL = 1.0", "tL = 1e-160")),
         ("spectrum", MODEL_CFG.replace("t0 = 1.0", "t0 = 1e10").replace("tL = 1.0", "tL = 1e-150")),
         ("phase-diagram", SWEEP_CFG + "t_max = 1e160\n"),
-    ], ids=["tL-1e160", "tL-1e-160", "t0-1e10-tL-1e-150", "sweep-t_max-1e160"])
+        ("spectrum", OPEN_CFG.replace("tL = 1.0", "tL = 1e160")),
+        ("skin", OPEN_CFG.replace("tL = 1.0", "tL = 1e160")),
+    ], ids=["tL-1e160", "tL-1e-160", "t0-1e10-tL-1e-150", "sweep-t_max-1e160", "open-tL-1e160", "skin-tL-1e160"])
     def test_config_error(self, tmp_path, command, text, capsys):
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2

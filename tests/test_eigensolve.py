@@ -1,10 +1,12 @@
 """Eigensolver contracts and band-continuity tracking."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import DL, multiset_match, params, random_unit_vector
+from conftest import DL, densities, multiset_match, params, random_unit_vector
 from nahn import (
     BoundaryCondition,
     CircuitParams,
@@ -20,7 +22,6 @@ from nahn import eigensolve
 from nahn.circuit import NF, circuit_blocks
 from nahn.eigensolve import eigvals2x2
 from nahn.model import chain_blocks, chain_matrix
-from nahn.skin import EigenstateSet, densities_from_eigenvectors
 
 
 def random_complex(rng, n):
@@ -83,10 +84,6 @@ class TestEigDense:
             eig_dense(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
-def chain_gamma(spec, N):
-    return gamma(EigenstateSet(N, spec.eigenvalues, densities_from_eigenvectors(spec.right_eigenvectors)))
-
-
 def full_chain_residuals(M, spec):
     V, lams = spec.right_eigenvectors, spec.eigenvalues
     return np.linalg.norm(M @ V - V * lams, axis=0) / max(1.0, np.linalg.norm(M))
@@ -104,7 +101,7 @@ class TestChainEigOracle:
         M = chain_matrix(*blocks, N, BoundaryCondition.OBC)
         spec, dense = chain_eig(*blocks, N), eig_dense(M)
         assert spec.solver == "chiral"
-        assert abs(chain_gamma(spec, N) - chain_gamma(dense, N)) <= 1e-12
+        assert abs(gamma(densities(spec)) - gamma(densities(dense))) <= 1e-12
         assert np.max(full_chain_residuals(M, spec)) <= 1e-10
         # eigenvalues come as shift + sqrt(mu), then shift - sqrt(mu), also without vectors
         shift = 0.5 * (blocks[0][0, 0] + blocks[0][1, 1])
@@ -178,7 +175,19 @@ class TestChainEigFallback:
         spec = chain_eig(*blocks, 30)
         assert spec.solver == "chiral"
         assert np.max(full_chain_residuals(M, spec)) <= 1e-12
-        assert abs(chain_gamma(spec, 30) - chain_gamma(eig_dense(M), 30)) <= 1e-12
+        assert abs(gamma(densities(spec)) - gamma(densities(eig_dense(M)))) <= 1e-12
+
+    @pytest.mark.parametrize("dL", [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (1.0, 0.0, 0.0)])
+    def test_scaled_chain_takes_chiral_path(self, dL):
+        # the scaled amplitudes square to 2**600, whose squares would overflow
+        blocks = chain_blocks(params(1.0, 1.2, 0.9, dL=GaugeVector(*dL)))
+        reference = chain_eig(*blocks, 30).eigenvalues * 2.0**300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = chain_eig(*(b * 2.0**300 for b in blocks), 30)
+            chain_eig(*(b * 2.0**-520 for b in blocks), 30)  # A B in subnormals: the scale stays finite
+        assert spec.solver == "chiral"
+        assert np.max(np.abs(spec.eigenvalues - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_shift_only_chain_takes_dense_path(self):
         on = 0.5j * np.eye(2)
@@ -199,6 +208,8 @@ class TestChainEigFallback:
             chain_eig(np.eye(3), *blocks[1:], 10)
         with pytest.raises(ValidationError):
             chain_eig(np.full((2, 2), np.nan), *blocks[1:], 10)
+        with pytest.raises(ValidationError, match="amplitudes too large"):
+            chain_eig(*chain_blocks(params(1.0, 1e154, 1.0)), 10)  # 2 * 9 * 1e308 overflows
 
 
 def tracked(p, n):
