@@ -10,11 +10,9 @@ network with a simulated excite-and-measure protocol.
 from .circuit import (
     CircuitParams,
     MeasurementNoise,
-    MeasurementProtocol,
     admittance_bloch,
     bloch_samples_from_chain,
     circuit_chain,
-    circuit_to_model,
     m_coefficients,
     measure_admittance,
     resonance_frequency,
@@ -44,13 +42,11 @@ from .model import (
     ModelParams,
     analytic_eigenvalues,
     bloch_hamiltonian,
-    is_nonabelian,
     pauli_combination,
     real_space_hamiltonian,
 )
 from .skin import (
     LocalizationReport,
-    abelian_control,
     classify_localization,
     densities_from_eigenvectors,
     gamma,
@@ -64,7 +60,6 @@ from .topology import (
     braiding_degree_of_samples,
     compute_phase_diagram,
     exceptional_scan,
-    phase_boundary_residual,
     spectral_winding,
     spectral_winding_profile,
     winding_number,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,8 +22,6 @@ from .model import (
     SIGMA_X,
     SIGMA_Z,
     BoundaryCondition,
-    GaugeVector,
-    ModelParams,
     chain_matrix,
 )
 
@@ -34,9 +31,9 @@ UH = 1e-6
 #: Condition-number bound beyond which a network counts as unmeasurable.
 CONDITION_LIMIT = 1e12
 
-#: The lattice directions realized by this circuit layout.
-CIRCUIT_DL = GaugeVector(0.0, 0.0, 1.0)
-CIRCUIT_DR = GaugeVector(1.0, 0.0, 0.0)
+#: Header name of the measurement each boundary condition runs: the ring
+#: excites one unit cell, the open chain every node.
+PROTOCOLS = {BoundaryCondition.PBC: "PBC_unit_cell", BoundaryCondition.OBC: "OBC_all_nodes"}
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,6 @@ class CircuitParams:
             )
         except KeyError as exc:
             raise ValidationError(f"missing circuit parameter key: {exc.args[0]!r}") from exc
-
-
-class MeasurementProtocol(Enum):
-    """Excitation pattern of the simulated admittance measurement."""
-
-    PBC_UNIT_CELL = "PBC_unit_cell"
-    OBC_ALL_NODES = "OBC_all_nodes"
 
 
 @dataclass(frozen=True)
@@ -161,21 +151,6 @@ def admittance_bloch(c: CircuitParams, omega: float, k, include_r0: bool = True)
     return 1j * omega * mat
 
 
-def circuit_to_model(c: CircuitParams, include_r0: bool = True):
-    """Lattice parameters realized by the circuit at resonance.
-
-    Returns ``(params, shift, scale)`` with amplitudes in nF units
-    (t0 = C0, tL = C1, tR = C2) and the directions this layout realizes, so
-    ``admittance_bloch(c, w0, k) == scale * (H(k) + shift * I)`` where H is
-    the Bloch matrix of ``params``; ``shift`` is m0 in nF and ``scale``
-    converts an nF-valued matrix to siemens.
-    """
-    omega0 = resonance_frequency(c)
-    params = ModelParams(t0=c.C0, tL=c.C1, tR=c.C2, dL=CIRCUIT_DL, dR=CIRCUIT_DR)
-    m0, _ = m_coefficients(c, omega0, include_r0)
-    return params, m0 / NF, 1j * omega0 * NF
-
-
 def circuit_blocks(c: CircuitParams, omega: float | None = None, include_r0: bool = True):
     """On-site, leftward and rightward 2x2 admittance blocks, in siemens.
 
@@ -207,15 +182,15 @@ def circuit_chain(
     return chain_matrix(*circuit_blocks(c, omega, include_r0), N, bc)
 
 
-def measure_admittance(J: np.ndarray, protocol: MeasurementProtocol) -> np.ndarray:
+def measure_admittance(J: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """Reconstruct an admittance matrix from its simulated voltage response.
 
     Unit currents are injected node by node; the response matrix is
-    ``G = J^{-1}`` and the reconstruction inverts it back. Under the
-    unit-cell protocol only the two nodes of the first cell are excited and
-    the remaining response columns follow from the ring's translational
-    symmetry, so ``J`` must be block-circulant (a periodic chain). Runs at
-    one BLAS thread, like every solve.
+    ``G = J^{-1}`` and the reconstruction inverts it back. On a ring
+    (``bc`` PBC) only the two nodes of the first cell are excited and the
+    remaining response columns follow from translational symmetry, so
+    ``J`` must be block-circulant. Runs at one BLAS thread, like every
+    solve.
     """
     J = np.asarray(J, dtype=complex)
     n = J.shape[0]
@@ -229,7 +204,7 @@ def measure_admittance(J: np.ndarray, protocol: MeasurementProtocol) -> np.ndarr
                 "the drive sits on a resonance of the grounded network"
             )
         G = np.linalg.inv(J)
-        if protocol is MeasurementProtocol.PBC_UNIT_CELL:
+        if bc is BoundaryCondition.PBC:
             n_sites = n // 2
             if n_sites < 3:
                 raise ValidationError("unit-cell protocol needs at least 3 sites")
@@ -249,39 +224,41 @@ def perturbed_components(c: CircuitParams, noise: MeasurementNoise) -> CircuitPa
 
     A single draw per value keeps every admittance entry fed by the same
     component coherently perturbed. The drive frequency is not touched:
-    the instrument is set from the nominal design values.
+    the instrument is set from the nominal design values. A draw that
+    leaves a component non-positive or non-finite raises ``ValidationError``
+    naming the component, the draw, the sigma and the seed.
     """
     rng = np.random.default_rng(noise.seed)
-    draws = rng.standard_normal(len(_COMPONENT_ORDER))
-    factors = 1.0 + noise.component_rel_sigma * draws
-    values = {
-        name: getattr(c, name) * factor for name, factor in zip(_COMPONENT_ORDER, factors)
-    }
+    sigma = float(noise.component_rel_sigma)
+    values = {}
+    for name, draw in zip(_COMPONENT_ORDER, rng.standard_normal(len(_COMPONENT_ORDER)).tolist()):
+        nominal = float(getattr(c, name))
+        values[name] = nominal * (1.0 + sigma * draw)
+        if not (math.isfinite(values[name]) and values[name] > 0):
+            raise ValidationError(
+                f"noise draw {draw!r} makes component {name} {values[name]!r} (nominal {nominal!r}) "
+                f"at noise_sigma = {sigma!r}, seed = {int(noise.seed)}; components must stay positive and finite"
+            )
     return CircuitParams(omega=c.omega, **values)
 
 
 def simulated_measurement(
     c: CircuitParams,
     N: int,
-    protocol: MeasurementProtocol,
+    bc: BoundaryCondition,
     noise: MeasurementNoise | None = None,
     include_r0: bool = True,
 ) -> np.ndarray:
     """Assemble the chain (optionally with component tolerances) and measure it.
 
-    The boundary condition follows the protocol. Without noise the result
-    is a numerical round trip of the nominal matrix; with noise the
-    components are perturbed before assembly, deterministically under a
-    fixed seed, and the drive stays at the nominal frequency.
+    Without noise the result is a numerical round trip of the nominal
+    matrix; with noise the components are perturbed before assembly,
+    deterministically under a fixed seed, and the drive stays at the
+    nominal frequency.
     """
     actual = c if noise is None else perturbed_components(c, noise)
-    bc = (
-        BoundaryCondition.PBC
-        if protocol is MeasurementProtocol.PBC_UNIT_CELL
-        else BoundaryCondition.OBC
-    )
     J = circuit_chain(actual, N, bc, omega=c.drive_frequency(), include_r0=include_r0)
-    return measure_admittance(J, protocol)
+    return measure_admittance(J, bc)
 
 
 def bloch_samples_from_chain(J: np.ndarray, k_values) -> np.ndarray:

@@ -263,18 +263,13 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
         raise ConfigError("measure needs a circuit block")
     N = _require_chain(cfg)
     eff = _effective(cfg, "measure")
-    protocol = (
-        cct.MeasurementProtocol.PBC_UNIT_CELL
-        if cfg.boundary is BoundaryCondition.PBC
-        else cct.MeasurementProtocol.OBC_ALL_NODES
-    )
     noise = None
     if cfg.noise_sigma is not None:
         noise = cct.MeasurementNoise(cfg.noise_sigma, cfg.seed if cfg.seed is not None else 0)
     drive = cfg.circuit.drive_frequency()
     try:
         J_rec = cct.simulated_measurement(
-            cfg.circuit, N, protocol, noise=noise, include_r0=not cfg.zero_r0
+            cfg.circuit, N, cfg.boundary, noise=noise, include_r0=not cfg.zero_r0
         )
     except SingularNetworkError as exc:
         raise SingularNetworkError(f"{exc} (omega = {drive:.9e} rad/s)") from exc
@@ -285,11 +280,12 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     spec = eig_dense(J_rec)
     densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
     shown = spec.eigenvalues * (1.0 / (1j * drive * cct.NF))
-    meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol.value, "eigenvalue_units": "nF"}
-    if protocol is cct.MeasurementProtocol.PBC_UNIT_CELL:
+    protocol = cct.PROTOCOLS[cfg.boundary]
+    meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol, "eigenvalue_units": "nF"}
+    if cfg.boundary is BoundaryCondition.PBC:
         grid = topo.KGrid(cfg.kpoints)
         loci = cct.bloch_samples_from_chain(J_rec, grid.values)
-        _write_loci(out, fmt, "measure", eff, grid, loci, drive, noise=noise_meta, protocol=protocol.value)
+        _write_loci(out, fmt, "measure", eff, grid, loci, drive, noise=noise_meta, protocol=protocol)
         header = build_header("measure", eff, chain_N=N, **meta)
     else:
         report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)

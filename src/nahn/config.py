@@ -9,10 +9,23 @@ from pathlib import Path
 
 from .circuit import CircuitParams
 from .errors import ConfigError, ValidationError
-from .model import BoundaryCondition, ModelParams
+from .model import BoundaryCondition, GaugeVector, ModelParams
+from .skin import DEFAULT_THRESHOLD, DEFAULT_WINDOW_FRACTION
+from .topology import DEFAULT_KPOINTS, EP_TOL
 
-MODEL_KEYS = {"t0", "tL", "tR", "dL", "dR"}
-CIRCUIT_KEYS = {"C0_nF", "C1_nF", "C2_nF", "L0_uH", "L1_uH", "R0_ohm", "omega_rad_s"}
+#: Keys of the model block and the circuit block, with the type each value
+#: must have; a ``GaugeVector`` key takes a list of three numbers, and
+#: ``omega_rad_s`` may be null for the resonance frequency.
+MODEL_KEYS = {"t0": float, "tL": float, "tR": float, "dL": GaugeVector, "dR": GaugeVector}
+CIRCUIT_KEYS = {
+    "C0_nF": float,
+    "C1_nF": float,
+    "C2_nF": float,
+    "L0_uH": float,
+    "L1_uH": float,
+    "R0_ohm": float,
+    "omega_rad_s": float | None,
+}
 
 #: Run settings either block may carry, with the type each value must have.
 SETTINGS = {
@@ -42,7 +55,7 @@ class RunConfig:
 
     model: ModelParams | None = None
     circuit: CircuitParams | None = None
-    kpoints: int = 1024
+    kpoints: int = DEFAULT_KPOINTS
     chain_N: int | None = None
     boundary: BoundaryCondition = BoundaryCondition.PBC
     t_min: float = 0.0
@@ -50,9 +63,9 @@ class RunConfig:
     resolution: int = 50
     seed: int | None = None
     noise_sigma: float | None = None
-    window_fraction: float = 0.2
-    loc_threshold: float = 0.5
-    ep_tol: float = 1e-3
+    window_fraction: float = DEFAULT_WINDOW_FRACTION
+    loc_threshold: float = DEFAULT_THRESHOLD
+    ep_tol: float = EP_TOL
     zero_r0: bool = False
     threads: int | None = None
 
@@ -84,9 +97,16 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
-def _setting(key: str, kind: type, value):
-    """``value`` of setting ``key`` as ``kind``: ``true``/``false`` only for boolean
-    settings, and only integral numbers for integer settings (``100.0`` is 100)."""
+def _setting(key: str, kind, value):
+    """``value`` of config key ``key`` as ``kind``: ``true``/``false`` only for boolean
+    keys, only integral numbers for integer keys (``100.0`` is 100), a list of
+    three floats for a ``GaugeVector`` key, and ``None`` only where ``kind`` allows it."""
+    if kind == float | None:
+        return None if value is None else _setting(key, float, value)
+    if kind is GaugeVector:
+        if not isinstance(value, list) or len(value) != 3:
+            raise ConfigError(f"key {key!r}: expected a list of three numbers, got {value!r}")
+        return [_setting(key, float, v) for v in value]
     if kind is BoundaryCondition:
         name = str(value).upper()
         if name not in ("PBC", "OBC"):
@@ -102,12 +122,13 @@ def _setting(key: str, kind: type, value):
 
 
 def _coerce(raw: dict) -> RunConfig:
-    unknown = sorted(set(raw) - MODEL_KEYS - CIRCUIT_KEYS - set(SETTINGS))
+    kinds = {**MODEL_KEYS, **CIRCUIT_KEYS, **SETTINGS}
+    unknown = sorted(raw.keys() - kinds.keys())
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
-    model_present = MODEL_KEYS & set(raw)
-    circuit_present = CIRCUIT_KEYS & set(raw)
+    model_present = MODEL_KEYS.keys() & raw.keys()
+    circuit_present = CIRCUIT_KEYS.keys() & raw.keys()
     if model_present and circuit_present:
         raise ConfigError(
             "config mixes model keys "
@@ -118,24 +139,24 @@ def _coerce(raw: dict) -> RunConfig:
         raise ConfigError("config must contain a model block (t0, tL, tR, dL, dR) "
                           "or a circuit block (C0_nF, C1_nF, C2_nF, L0_uH, L1_uH, R0_ohm)")
 
+    values = {key: _setting(key, kinds[key], value) for key, value in raw.items()}
     cfg = RunConfig()
     try:
         if model_present:
-            missing = sorted(MODEL_KEYS - set(raw))
+            missing = sorted(MODEL_KEYS.keys() - raw.keys())
             if missing:
                 raise ConfigError(f"incomplete model block, missing key(s): {', '.join(missing)}")
-            cfg.model = ModelParams.from_dict(raw)
+            cfg.model = ModelParams.from_dict(values)
         else:
-            missing = sorted((CIRCUIT_KEYS - {"omega_rad_s"}) - set(raw))
+            missing = sorted(CIRCUIT_KEYS.keys() - {"omega_rad_s"} - raw.keys())
             if missing:
                 raise ConfigError(f"incomplete circuit block, missing key(s): {', '.join(missing)}")
-            cfg.circuit = CircuitParams.from_dict(raw)
+            cfg.circuit = CircuitParams.from_dict(values)
     except ValidationError as exc:
         raise ConfigError(str(exc)) from exc
 
-    for key, kind in SETTINGS.items():
-        if key in raw:
-            setattr(cfg, key, _setting(key, kind, raw[key]))
+    for key in SETTINGS.keys() & values.keys():
+        setattr(cfg, key, values[key])
     return cfg
 
 

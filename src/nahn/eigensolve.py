@@ -48,7 +48,7 @@ CHIRAL_TOL = 1e-13
 #: ``min |mu| / ||A B||_F`` at or below which ``chain_eig`` falls back.
 ZERO_MODE_TOL = 1e-8
 
-#: Largest residual of a chiral eigenpair; a larger one makes ``chain_eig`` fall back.
+#: Largest relative residual of a chiral eigenpair; a larger one makes ``chain_eig`` fall back.
 CHIRAL_RESIDUAL_BOUND = 1e-12
 
 #: Thread-count getter and setter of each OpenBLAS build: numpy's 64-bit-integer
@@ -119,10 +119,11 @@ class Spectrum:
 
     ``right_eigenvectors`` holds one unit-norm column per eigenvalue, with
     the largest-magnitude component rotated to be real and positive so that
-    output files are reproducible. ``residuals`` are
-    ``||M v - lambda v||_2 / max(1, ||M||_F)``. ``solver`` names the
-    route: ``"dense"`` (LAPACK on the full matrix) or ``"chiral"``
-    (``chain_eig``'s half-size solve).
+    output files are reproducible. ``residuals`` are the relative
+    ``||M v - lambda v||_2 / ||M||_F`` (0 for a zero matrix), computed on
+    ``M`` scaled by a power of two so that they neither underflow nor
+    overflow. ``solver`` names the route: ``"dense"`` (LAPACK on the full
+    matrix) or ``"chiral"`` (``chain_eig``'s half-size solve).
     """
 
     eigenvalues: np.ndarray
@@ -150,8 +151,9 @@ def _fix_gauge(V: np.ndarray) -> np.ndarray:
 
 
 def _residuals(M: np.ndarray, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
-    scale = max(1.0, np.linalg.norm(M))
-    return np.linalg.norm(M @ V - V * lams[np.newaxis, :], axis=0) / scale
+    s = _power_of_two_below(M)
+    # a zero matrix has zero residuals, so its norm may stand in as 1
+    return np.linalg.norm((M * s) @ V - V * (lams * s), axis=0) / (np.linalg.norm(M * s) or 1.0)
 
 
 def eigvals2x2(M: np.ndarray) -> np.ndarray:
@@ -254,11 +256,13 @@ def _tridiagonal_product(a, b, N: int) -> np.ndarray:
     return P
 
 
-def _chiral_solve(on, left, right, N, shift, norm, U, rotated, eigenvectors):
-    """The chiral spectrum, or None where ``chain_eig`` must fall back.
+def _chain_norm(on, left, right, N: int) -> float:
+    """Frobenius norm of ``chain_matrix(on, left, right, N, OBC)``."""
+    return np.sqrt(N * np.vdot(on, on).real + (N - 1) * (np.vdot(left, left).real + np.vdot(right, right).real))
 
-    ``norm`` is the assembled chain's Frobenius norm.
-    """
+
+def _chiral_solve(on, left, right, N, shift, U, rotated, eigenvectors):
+    """The chiral spectrum, or None where ``chain_eig`` must fall back."""
     a = rotated[:, 0, 1]  # A: the (+, -) entries of on-site, leftward, rightward blocks
     b = rotated[:, 1, 0]
     AB = _tridiagonal_product(a, b, N)
@@ -279,12 +283,15 @@ def _chiral_solve(on, left, right, N, shift, norm, U, rotated, eigenvectors):
     rot[:, 1, :N] = w
     rot[:, 1, N:] = -w
     V = _fix_gauge((U @ rot).reshape(2 * N, 2 * N))
-    # residuals against the assembled chain, applied block by block
+    # residuals against the assembled chain, applied block by block to the
+    # blocks scaled by a power of two, so that they neither underflow nor overflow
+    s = _power_of_two_below(np.stack([on, left, right]))
+    on, left, right = on * s, left * s, right * s
     Vs = V.reshape(N, 2, 2 * N)
-    R = on @ Vs - Vs * lams
+    R = on @ Vs - Vs * (lams * s)
     R[:-1] += left @ Vs[1:]
     R[1:] += right @ Vs[:-1]
-    res = np.linalg.norm(R.reshape(2 * N, 2 * N), axis=0) / max(1.0, norm)
+    res = np.linalg.norm(R.reshape(2 * N, 2 * N), axis=0) / _chain_norm(on, left, right, N)
     if not np.all(res <= CHIRAL_RESIDUAL_BOUND):
         return None
     return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=res, solver="chiral")
@@ -307,7 +314,7 @@ def chain_eig(on, left, right, N: int, eigenvectors: bool = True) -> Spectrum:
     if on.shape != (2, 2) or left.shape != (2, 2) or right.shape != (2, 2):
         raise ValidationError("chain blocks must be 2x2")
     with np.errstate(over="ignore"):
-        norm = np.sqrt(N * np.vdot(on, on).real + (N - 1) * (np.vdot(left, left).real + np.vdot(right, right).real))
+        norm = _chain_norm(on, left, right, N)
     if not np.isfinite(norm):
         raise ValidationError(
             f"amplitudes too large: the squared norm of the {2 * N}x{2 * N} open chain is not finite"
@@ -316,7 +323,7 @@ def chain_eig(on, left, right, N: int, eigenvectors: bool = True) -> Spectrum:
         shift = 0.5 * (on[0, 0] + on[1, 1])
         chiral = _chiral_blocks(np.stack([on - shift * np.eye(2), left, right]))
         if chiral is not None:
-            spec = _chiral_solve(on, left, right, N, shift, norm, *chiral, eigenvectors)
+            spec = _chiral_solve(on, left, right, N, shift, *chiral, eigenvectors)
             if spec is not None:
                 return spec
         return eig_dense(chain_matrix(on, left, right, N, BoundaryCondition.OBC), eigenvectors)
@@ -326,14 +333,13 @@ def chain_eig(on, left, right, N: int, eigenvectors: bool = True) -> Spectrum:
 class BandTrajectories:
     """Continuity-sorted eigenvalue curves over a closed momentum loop.
 
-    ``bands[b, j]`` is band ``b`` at ``k_grid[j]``. ``band_swap`` records
-    whether the loop closes band-to-band (period 2 pi) or only after the
-    two bands exchange (period 4 pi). ``near_degenerate`` lists grid
-    indices where the two pairings were numerically indistinguishable and
-    the previous ordering was kept.
+    ``bands[b, j]`` is band ``b`` at the ``j``-th momentum of the loop.
+    ``band_swap`` records whether the loop closes band-to-band (period
+    2 pi) or only after the two bands exchange (period 4 pi).
+    ``near_degenerate`` lists grid indices where the two pairings were
+    numerically indistinguishable and the previous ordering was kept.
     """
 
-    k_grid: np.ndarray
     bands: np.ndarray
     band_swap: bool
     near_degenerate: list = field(default_factory=list)
@@ -384,4 +390,4 @@ def sort_bands_by_continuity(k_values, pairs) -> BandTrajectories:
         swap = False
     else:
         swap = cost_swap < cost_keep
-    return BandTrajectories(k_grid=k, bands=bands.T.copy(), band_swap=bool(swap), near_degenerate=near)
+    return BandTrajectories(bands=bands.T.copy(), band_swap=bool(swap), near_degenerate=near)

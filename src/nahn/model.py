@@ -120,19 +120,6 @@ def pauli_combination(d: GaugeVector) -> np.ndarray:
     return d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z
 
 
-def is_nonabelian(dL: GaugeVector, dR: GaugeVector, tol: float = 1e-12) -> bool:
-    """True when the two coupling matrices fail to commute.
-
-    Since ``[a.sigma, b.sigma] = 2i (a x b).sigma``, the commutator vanishes
-    exactly when the cross product does, so the check reduces to
-    ``||dL x dR|| > tol``.
-    """
-    cx = dL.y * dR.z - dL.z * dR.y
-    cy = dL.z * dR.x - dL.x * dR.z
-    cz = dL.x * dR.y - dL.y * dR.x
-    return math.sqrt(cx * cx + cy * cy + cz * cz) > tol
-
-
 def bloch_hamiltonian(p: ModelParams, k) -> np.ndarray:
     """Momentum-space 2x2 matrix ``t0 dR.s + tL e^{ik} dL.s + tR e^{-ik} dR.s``.
 

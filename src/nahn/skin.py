@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .eigensolve import Spectrum, chain_eig
-from .model import GaugeVector, ModelParams, chain_blocks
+from .model import ModelParams, chain_blocks
 
 #: Fraction of the chain counted as each boundary window.
 DEFAULT_WINDOW_FRACTION = 0.2
@@ -117,22 +117,3 @@ def classify_localization(
         gamma=gamma(densities, boundary_fraction),
         bipolar=bipolar,
     )
-
-
-ABELIAN_D = GaugeVector(1.0, 0.0, 0.0)
-
-
-def abelian_control(t_samples, N: int) -> bool:
-    """True when no sampled (tL, tR) point is bipolar with commuting couplings.
-
-    Runs the localization classifier at t0 = 1 with dL = dR = (1, 0, 0),
-    for which the two coupling matrices commute. Samples should stay off
-    the Hermitian line tL = tR, where states are extended rather than
-    skin-localized.
-    """
-    for tL, tR in t_samples:
-        p = ModelParams(t0=1.0, tL=float(tL), tR=float(tR), dL=ABELIAN_D, dR=ABELIAN_D)
-        densities = densities_from_eigenvectors(obc_eigenstates(p, N).right_eigenvectors)
-        if classify_localization(densities).bipolar:
-            return False
-    return True

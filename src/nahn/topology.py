@@ -235,23 +235,6 @@ def band_resolved_winding(traj: BandTrajectories, E0: complex) -> list:
     return out
 
 
-def phase_boundary_residual(tL: float, tR: float) -> float:
-    """Closed-form residual of the exceptional-point boundary condition at t0 = 1.
-
-    Zero crossings along a parameter path locate braiding phase
-    boundaries. The closed form holds only for orthogonal directions
-    (``dL . dR = 0``); phase diagrams write :func:`_boundary_residual`,
-    which holds for every direction and has this one's sign there. At
-    ``tL**2 == tR**2`` the expression degenerates and raises
-    ``PhaseBoundaryError``.
-    """
-    denom = tL * tL - tR * tR
-    if denom == 0.0:
-        raise PhaseBoundaryError(f"degenerate denominator: tL^2 == tR^2 at ({tL}, {tR})")
-    s = tL * tL + tR * tR
-    return 1.0 + s * (2.0 * tR * tR / denom**2 - 1.0) + 2.0 * tR * tR / denom
-
-
 def _boundary_residual(p: ModelParams) -> float:
     """Signed residual ``-(|z_(2)| - 1)(|z_(3)| - 1)`` of ``P``'s sorted root radii.
 

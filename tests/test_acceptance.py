@@ -13,14 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import densities, multiset_match, params
+from conftest import abelian_control, circuit_to_model, densities, multiset_match, params
 from nahn import (
     BoundaryCondition,
     CircuitParams,
     KGrid,
     MeasurementNoise,
-    MeasurementProtocol,
-    abelian_control,
     admittance_bloch,
     analytic_eigenvalues,
     band_resolved_winding,
@@ -28,7 +26,6 @@ from nahn import (
     braiding_degree,
     braiding_degree_of_samples,
     circuit_chain,
-    circuit_to_model,
     classify_localization,
     compute_phase_diagram,
     eig_dense,
@@ -240,19 +237,19 @@ def test_criterion_08_abelian_control_property():
 def test_criterion_09_measurement_round_trip():
     ring = reference_circuit(20.0, 30.0)
     J_ring = circuit_chain(ring, 19, PBC)
-    rec = simulated_measurement(ring, 19, MeasurementProtocol.PBC_UNIT_CELL)
+    rec = simulated_measurement(ring, 19, PBC)
     assert np.linalg.norm(rec - J_ring) < 1e-9 * np.linalg.norm(J_ring)
 
     open_chain = reference_circuit(12.0, 9.0)
     J_open = circuit_chain(open_chain, 47, OBC)
-    rec = simulated_measurement(open_chain, 47, MeasurementProtocol.OBC_ALL_NODES)
+    rec = simulated_measurement(open_chain, 47, OBC)
     assert np.linalg.norm(rec - J_open) < 1e-9 * np.linalg.norm(J_open)
 
     ks = KGrid(1024).values
     nu_hits = 0
     for seed in range(50):
         J_rec = simulated_measurement(
-            ring, 19, MeasurementProtocol.PBC_UNIT_CELL, noise=MeasurementNoise(0.01, seed)
+            ring, 19, PBC, noise=MeasurementNoise(0.01, seed)
         )
         try:
             if braiding_degree_of_samples(bloch_samples_from_chain(J_rec, ks)) == -2:
@@ -264,7 +261,7 @@ def test_criterion_09_measurement_round_trip():
     bipolar_hits = 0
     for seed in range(50):
         J_rec = simulated_measurement(
-            open_chain, 47, MeasurementProtocol.OBC_ALL_NODES, noise=MeasurementNoise(0.01, seed)
+            open_chain, 47, OBC, noise=MeasurementNoise(0.01, seed)
         )
         if classify_localization(densities(eig_dense(J_rec))).bipolar:
             bipolar_hits += 1

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import densities, multiset_match
+from conftest import circuit_to_model, densities, multiset_match
 from nahn import (
     BoundaryCondition,
     CircuitParams,
     KGrid,
     MeasurementNoise,
-    MeasurementProtocol,
     SingularNetworkError,
     ValidationError,
     admittance_bloch,
@@ -18,7 +17,6 @@ from nahn import (
     braiding_degree,
     braiding_degree_of_samples,
     circuit_chain,
-    circuit_to_model,
     classify_localization,
     eig_dense,
     m_coefficients,
@@ -225,7 +223,7 @@ class TestMeasurement:
     def test_noiseless_round_trip_ring(self):
         c = reference_circuit(20.0, 30.0)
         J = circuit_chain(c, 19, PBC)
-        J_rec = simulated_measurement(c, 19, MeasurementProtocol.PBC_UNIT_CELL)
+        J_rec = simulated_measurement(c, 19, PBC)
         assert np.linalg.norm(J_rec - J) < 1e-9 * np.linalg.norm(J)
 
     def test_unit_cell_response_matches_loop_reference(self):
@@ -239,19 +237,19 @@ class TestMeasurement:
             for j in range(5):
                 src = 2 * ((i - j) % 5)
                 G[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = col[src : src + 2, :]
-        rec = measure_admittance(J, MeasurementProtocol.PBC_UNIT_CELL)
+        rec = measure_admittance(J, PBC)
         assert np.array_equal(rec, np.linalg.inv(G))
 
     def test_noiseless_round_trip_open(self):
         c = reference_circuit(12.0, 9.0)
         J = circuit_chain(c, 47, OBC)
-        J_rec = simulated_measurement(c, 47, MeasurementProtocol.OBC_ALL_NODES)
+        J_rec = simulated_measurement(c, 47, OBC)
         assert np.linalg.norm(J_rec - J) < 1e-9 * np.linalg.norm(J)
 
     def test_block_extraction_matches_bloch(self):
         c = reference_circuit(20.0, 30.0)
         w0 = resonance_frequency(c)
-        J_rec = simulated_measurement(c, 19, MeasurementProtocol.PBC_UNIT_CELL)
+        J_rec = simulated_measurement(c, 19, PBC)
         ks = KGrid(128).values
         assert np.max(np.abs(bloch_samples_from_chain(J_rec, ks) - admittance_bloch(c, w0, ks))) \
             < 1e-9 * np.max(np.abs(admittance_bloch(c, w0, ks)))
@@ -259,11 +257,11 @@ class TestMeasurement:
     def test_seeded_noise_deterministic(self):
         c = reference_circuit(20.0, 30.0)
         noise = MeasurementNoise(0.01, seed=7)
-        a = simulated_measurement(c, 19, MeasurementProtocol.PBC_UNIT_CELL, noise=noise)
-        b = simulated_measurement(c, 19, MeasurementProtocol.PBC_UNIT_CELL, noise=noise)
+        a = simulated_measurement(c, 19, PBC, noise=noise)
+        b = simulated_measurement(c, 19, PBC, noise=noise)
         assert np.array_equal(a, b)
         other = simulated_measurement(
-            c, 19, MeasurementProtocol.PBC_UNIT_CELL, noise=MeasurementNoise(0.01, seed=8)
+            c, 19, PBC, noise=MeasurementNoise(0.01, seed=8)
         )
         assert not np.array_equal(a, other)
 
@@ -278,7 +276,7 @@ class TestMeasurement:
         c_ring = reference_circuit(20.0, 30.0)
         for seed in range(10):
             J_rec = simulated_measurement(
-                c_ring, 19, MeasurementProtocol.PBC_UNIT_CELL, noise=MeasurementNoise(0.01, seed)
+                c_ring, 19, PBC, noise=MeasurementNoise(0.01, seed)
             )
             loci = bloch_samples_from_chain(J_rec, KGrid(1024).values)
             assert braiding_degree_of_samples(loci) == -2
@@ -293,8 +291,8 @@ class TestMeasurement:
     def test_singular_network_rejected(self):
         J = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(SingularNetworkError):
-            measure_admittance(J, MeasurementProtocol.OBC_ALL_NODES)
+            measure_admittance(J, OBC)
 
     def test_unit_cell_protocol_needs_ring(self):
         with pytest.raises(ValidationError):
-            measure_admittance(np.eye(4, dtype=complex), MeasurementProtocol.PBC_UNIT_CELL)
+            measure_admittance(np.eye(4, dtype=complex), PBC)

@@ -110,6 +110,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=line.split()[0]):
             load_config(write_cfg(tmp_path, MODEL_CFG.replace("kpoints = 256", line)))
 
+    @pytest.mark.parametrize("old, new", [
+        ("tL = 1.0", 'tL = "abc"'), ("tL = 1.0", "tL = [1]"), ("tL = 1.0", "tL = null"), ("tL = 1.0", "tL = true"),
+        ("dL = [0, 0, 1]", "dL = 5"), ("dL = [0, 0, 1]", 'dL = [0, 0, "a"]'), ("dL = [0, 0, 1]", "dL = [true, 0, 0]"),
+    ])
+    def test_malformed_model_value_is_config_error(self, tmp_path, old, new, capsys):
+        # these used to exit 1 with a traceback, or read true as 1.0
+        cfg = write_cfg(tmp_path, MODEL_CFG.replace(old, new))
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: key {new.split()[0]!r}")
+
+    @pytest.mark.parametrize("line", ['C0_nF = "x"', "C0_nF = true"])
+    def test_malformed_circuit_value_is_config_error(self, tmp_path, line, capsys):
+        cfg = write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text().replace("C0_nF = 10", line))
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: key 'C0_nF'")
+
+    def test_null_omega_is_resonance(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text() + "omega_rad_s = null\n"))
+        assert cfg.circuit.omega is None
+
     def test_integral_float_accepted(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, MODEL_CFG.replace("kpoints = 256", "kpoints = 100.0")))
         assert cfg.kpoints == 100 and type(cfg.kpoints) is int
@@ -381,6 +401,16 @@ class TestMeasureCommand:
             assert header["nu"] in (-2, 0, 2, None)
             if header["nu"] is None:
                 assert "nu_error" in header
+
+    def test_negative_component_draw_is_config_error(self, tmp_path, capsys):
+        # seed 3 draws C1 = 20 down to -5.56 nF at noise_sigma = 0.5
+        cfg = write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text() + "noise_sigma = 0.5\n")
+        code = main(["measure", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), "--seed", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: noise draw ")
+        assert "component C1" in err and "noise_sigma = 0.5" in err and "seed = 3" in err
+        assert "np.float64" not in err
 
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text() + "noise_sigma = 0.01\n")

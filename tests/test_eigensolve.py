@@ -189,6 +189,22 @@ class TestChainEigFallback:
         assert spec.solver == "chiral"
         assert np.max(np.abs(spec.eigenvalues - reference)) <= 1e-12 * np.max(np.abs(reference))
 
+    def test_scaled_chain_residuals_are_relative(self):
+        # at 2**-200 the residuals used to read 1e-75; at 2**-520 A B is subnormal
+        # and the chiral eigenvalues lose digits, which only a relative residual shows
+        blocks = chain_blocks(params(1.0, 1.2, 0.9))
+        reference = np.max(chain_eig(*blocks, 30).residuals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small = chain_eig(*(b * 2.0**-200 for b in blocks), 30)
+            tiny = chain_eig(*(b * 2.0**-520 for b in blocks), 30)
+        assert reference / 2 <= np.max(small.residuals) <= 2 * reference
+        assert tiny.solver == "dense"
+
+    def test_zero_chain_has_zero_residuals(self):
+        spec = eig_dense(np.zeros((4, 4)))
+        assert np.array_equal(spec.residuals, np.zeros(4))
+
     def test_shift_only_chain_takes_dense_path(self):
         on = 0.5j * np.eye(2)
         spec = chain_eig(on, np.zeros((2, 2)), np.zeros((2, 2)), 6)

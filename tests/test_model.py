@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import DL, DR, multiset_match, params, random_unit_vector
+from conftest import DL, DR, is_nonabelian, multiset_match, params, random_unit_vector
 from nahn import (
     BoundaryCondition,
     GaugeVector,
@@ -11,7 +11,6 @@ from nahn import (
     ValidationError,
     analytic_eigenvalues,
     bloch_hamiltonian,
-    is_nonabelian,
     pauli_combination,
     real_space_hamiltonian,
 )

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import DL, DR, densities, params
+from conftest import DL, DR, abelian_control, densities, params
 from nahn import (
     KGrid,
     ValidationError,
-    abelian_control,
     classify_localization,
     densities_from_eigenvectors,
     gamma,

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import DR, params, random_unit_vector
+from conftest import DR, params, phase_boundary_residual, random_unit_vector
 from nahn import (
     GaugeVector,
     KGrid,
@@ -19,7 +19,6 @@ from nahn import (
     braiding_degree_of_samples,
     compute_phase_diagram,
     exceptional_scan,
-    phase_boundary_residual,
     sort_bands_by_continuity,
     spectral_winding,
     spectral_winding_profile,
