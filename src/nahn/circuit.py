@@ -22,14 +22,19 @@ from .model import (
     SIGMA_X,
     SIGMA_Z,
     BoundaryCondition,
+    bloch_sum,
     chain_matrix,
 )
 
 NF = 1e-9
 UH = 1e-6
 
-#: Condition-number bound beyond which a network counts as unmeasurable.
+#: 1-norm condition-number bound beyond which a network counts as unmeasurable.
 CONDITION_LIMIT = 1e12
+
+#: Each component field of ``CircuitParams`` and its config key in datasheet
+#: units; noise draws go to the components in this order.
+COMPONENT_KEYS = {"C0": "C0_nF", "C1": "C1_nF", "C2": "C2_nF", "L0": "L0_uH", "L1": "L1_uH", "R0": "R0_ohm"}
 
 #: Header name of the measurement each boundary condition runs: the ring
 #: excites one unit cell, the open chain every node.
@@ -53,7 +58,7 @@ class CircuitParams:
     omega: float | None = None
 
     def __post_init__(self):
-        for name in ("C0", "C1", "C2", "L0", "L1", "R0"):
+        for name in COMPONENT_KEYS:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValidationError(f"component {name} must be positive and finite, got {v!r}")
@@ -64,14 +69,7 @@ class CircuitParams:
         return self.omega if self.omega is not None else resonance_frequency(self)
 
     def to_dict(self) -> dict:
-        d = {
-            "C0_nF": self.C0,
-            "C1_nF": self.C1,
-            "C2_nF": self.C2,
-            "L0_uH": self.L0,
-            "L1_uH": self.L1,
-            "R0_ohm": self.R0,
-        }
+        d = {key: getattr(self, name) for name, key in COMPONENT_KEYS.items()}
         if self.omega is not None:
             d["omega_rad_s"] = self.omega
         return d
@@ -79,17 +77,11 @@ class CircuitParams:
     @classmethod
     def from_dict(cls, d: dict) -> "CircuitParams":
         try:
-            return cls(
-                C0=float(d["C0_nF"]),
-                C1=float(d["C1_nF"]),
-                C2=float(d["C2_nF"]),
-                L0=float(d["L0_uH"]),
-                L1=float(d["L1_uH"]),
-                R0=float(d["R0_ohm"]),
-                omega=float(d["omega_rad_s"]) if d.get("omega_rad_s") is not None else None,
-            )
+            values = {name: float(d[key]) for name, key in COMPONENT_KEYS.items()}
         except KeyError as exc:
             raise ValidationError(f"missing circuit parameter key: {exc.args[0]!r}") from exc
+        omega = d.get("omega_rad_s")
+        return cls(omega=None if omega is None else float(omega), **values)
 
 
 @dataclass(frozen=True)
@@ -193,17 +185,20 @@ def measure_admittance(J: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     solve.
     """
     J = np.asarray(J, dtype=complex)
-    n = J.shape[0]
-    if J.ndim != 2 or J.shape[1] != n or n % 2 != 0:
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2 != 0:
         raise ValidationError(f"expected a 2N x 2N admittance matrix, got {J.shape}")
+    n = J.shape[0]
     with _single_threaded_blas():
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        try:
+            G = np.linalg.inv(J)
+            cond = float(np.linalg.norm(J, 1)) * float(np.linalg.norm(G, 1))
+        except np.linalg.LinAlgError:
+            cond = np.inf
+        if not cond <= CONDITION_LIMIT:
             raise SingularNetworkError(
-                f"admittance matrix is near-singular (condition number {cond:.3e}); "
+                f"admittance matrix is near-singular (1-norm condition number {cond:.3e}); "
                 "the drive sits on a resonance of the grounded network"
             )
-        G = np.linalg.inv(J)
         if bc is BoundaryCondition.PBC:
             n_sites = n // 2
             if n_sites < 3:
@@ -214,9 +209,6 @@ def measure_admittance(J: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
             blocks = G[:, 0:2].reshape(n_sites, 2, 2)[cells]
             G = blocks.transpose(0, 2, 1, 3).reshape(n, n)
         return np.linalg.inv(G)
-
-
-_COMPONENT_ORDER = ("C0", "C1", "C2", "L0", "L1", "R0")
 
 
 def perturbed_components(c: CircuitParams, noise: MeasurementNoise) -> CircuitParams:
@@ -231,7 +223,7 @@ def perturbed_components(c: CircuitParams, noise: MeasurementNoise) -> CircuitPa
     rng = np.random.default_rng(noise.seed)
     sigma = float(noise.component_rel_sigma)
     values = {}
-    for name, draw in zip(_COMPONENT_ORDER, rng.standard_normal(len(_COMPONENT_ORDER)).tolist()):
+    for name, draw in zip(COMPONENT_KEYS, rng.standard_normal(len(COMPONENT_KEYS)).tolist()):
         nominal = float(getattr(c, name))
         values[name] = nominal * (1.0 + sigma * draw)
         if not (math.isfinite(values[name]) and values[name] > 0):
@@ -272,12 +264,4 @@ def bloch_samples_from_chain(J: np.ndarray, k_values) -> np.ndarray:
     J = np.asarray(J, dtype=complex)
     if J.shape[0] < 6:
         raise ValidationError("block extraction needs a chain of at least 3 sites")
-    on = J[0:2, 0:2]
-    left = J[0:2, 2:4]
-    right = J[2:4, 0:2]
-    phase = np.exp(1j * np.asarray(k_values, dtype=float))
-    return (
-        on
-        + np.multiply.outer(phase, left)
-        + np.multiply.outer(1.0 / phase, right)
-    )
+    return bloch_sum(J[0:2, 0:2], J[0:2, 2:4], J[2:4, 0:2], k_values)

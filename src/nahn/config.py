@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .circuit import CircuitParams
+from .circuit import COMPONENT_KEYS, CircuitParams
 from .errors import ConfigError, ValidationError
 from .model import BoundaryCondition, GaugeVector, ModelParams
 from .skin import DEFAULT_THRESHOLD, DEFAULT_WINDOW_FRACTION
@@ -17,15 +17,7 @@ from .topology import DEFAULT_KPOINTS, EP_TOL
 #: must have; a ``GaugeVector`` key takes a list of three numbers, and
 #: ``omega_rad_s`` may be null for the resonance frequency.
 MODEL_KEYS = {"t0": float, "tL": float, "tR": float, "dL": GaugeVector, "dR": GaugeVector}
-CIRCUIT_KEYS = {
-    "C0_nF": float,
-    "C1_nF": float,
-    "C2_nF": float,
-    "L0_uH": float,
-    "L1_uH": float,
-    "R0_ohm": float,
-    "omega_rad_s": float | None,
-}
+CIRCUIT_KEYS = {**dict.fromkeys(COMPONENT_KEYS.values(), float), "omega_rad_s": float | None}
 
 #: Run settings either block may carry, with the type each value must have.
 SETTINGS = {
@@ -99,8 +91,9 @@ def parse_kv_text(text: str) -> dict:
 
 def _setting(key: str, kind, value):
     """``value`` of config key ``key`` as ``kind``: ``true``/``false`` only for boolean
-    keys, only integral numbers for integer keys (``100.0`` is 100), a list of
-    three floats for a ``GaugeVector`` key, and ``None`` only where ``kind`` allows it."""
+    keys, only integral numbers for integer keys (``100.0`` is 100), never text
+    for a number, a list of three floats for a ``GaugeVector`` key, and ``None``
+    only where ``kind`` allows it."""
     if kind == float | None:
         return None if value is None else _setting(key, float, value)
     if kind is GaugeVector:
@@ -113,7 +106,7 @@ def _setting(key: str, kind, value):
             raise ConfigError(f"key {key!r}: expected PBC or OBC, got {value!r}")
         return BoundaryCondition[name]
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) != (kind is bool) or fractional:
+    if isinstance(value, bool) != (kind is bool) or isinstance(value, str) or fractional:
         raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
     try:
         return kind(value)
@@ -136,8 +129,8 @@ def _coerce(raw: dict) -> RunConfig:
             f"({', '.join(sorted(circuit_present))}); provide exactly one block"
         )
     if not model_present and not circuit_present:
-        raise ConfigError("config must contain a model block (t0, tL, tR, dL, dR) "
-                          "or a circuit block (C0_nF, C1_nF, C2_nF, L0_uH, L1_uH, R0_ohm)")
+        raise ConfigError(f"config must contain a model block ({', '.join(MODEL_KEYS)}) "
+                          f"or a circuit block ({', '.join(COMPONENT_KEYS.values())})")
 
     values = {key: _setting(key, kinds[key], value) for key, value in raw.items()}
     cfg = RunConfig()
@@ -148,7 +141,7 @@ def _coerce(raw: dict) -> RunConfig:
                 raise ConfigError(f"incomplete model block, missing key(s): {', '.join(missing)}")
             cfg.model = ModelParams.from_dict(values)
         else:
-            missing = sorted(CIRCUIT_KEYS.keys() - {"omega_rad_s"} - raw.keys())
+            missing = sorted(set(COMPONENT_KEYS.values()) - raw.keys())
             if missing:
                 raise ConfigError(f"incomplete circuit block, missing key(s): {', '.join(missing)}")
             cfg.circuit = CircuitParams.from_dict(values)

@@ -120,21 +120,19 @@ def pauli_combination(d: GaugeVector) -> np.ndarray:
     return d.x * SIGMA_X + d.y * SIGMA_Y + d.z * SIGMA_Z
 
 
-def bloch_hamiltonian(p: ModelParams, k) -> np.ndarray:
-    """Momentum-space 2x2 matrix ``t0 dR.s + tL e^{ik} dL.s + tR e^{-ik} dR.s``.
+def bloch_sum(on, left, right, k) -> np.ndarray:
+    """Bloch matrix ``on + left e^{ik} + right e^{-ik}`` of a chain's three 2x2 blocks.
 
     ``k`` may be a scalar (returns shape ``(2, 2)``) or an array of shape
     ``(n,)`` (returns ``(n, 2, 2)``).
     """
-    k = np.asarray(k, dtype=float)
-    mL = pauli_combination(p.dL)
-    mR = pauli_combination(p.dR)
-    phase = np.exp(1j * k)
-    return (
-        p.t0 * mR
-        + p.tL * np.multiply.outer(phase, mL)
-        + p.tR * np.multiply.outer(1.0 / phase, mR)
-    )
+    phase = np.exp(1j * np.asarray(k, dtype=float))
+    return on + np.multiply.outer(phase, left) + np.multiply.outer(1.0 / phase, right)
+
+
+def bloch_hamiltonian(p: ModelParams, k) -> np.ndarray:
+    """Momentum-space 2x2 matrix ``t0 dR.s + tL e^{ik} dL.s + tR e^{-ik} dR.s``, by :func:`bloch_sum`."""
+    return bloch_sum(*chain_blocks(p), k)
 
 
 def analytic_eigenvalues(p: ModelParams, k):

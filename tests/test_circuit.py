@@ -266,11 +266,14 @@ class TestMeasurement:
         assert not np.array_equal(a, other)
 
     def test_component_perturbation_is_per_value(self):
+        # one standard-normal draw per component, taken in the order C0, C1,
+        # C2, L0, L1, R0; the golden noisy measurements depend on that order
         c = reference_circuit(20.0, 30.0)
         noisy = perturbed_components(c, MeasurementNoise(0.05, seed=3))
-        for name in ("C0", "C1", "C2", "L0", "L1", "R0"):
-            rel = abs(getattr(noisy, name) / getattr(c, name) - 1.0)
-            assert 0.0 < rel < 0.5
+        d = np.random.default_rng(3).standard_normal(6)
+        for i, name in enumerate(("C0", "C1", "C2", "L0", "L1", "R0")):
+            assert getattr(noisy, name) == getattr(c, name) * (1.0 + 0.05 * d[i])
+            assert 0.0 < abs(getattr(noisy, name) / getattr(c, name) - 1.0) < 0.5
 
     def test_topology_verdicts_stable_under_tolerance(self):
         c_ring = reference_circuit(20.0, 30.0)
@@ -289,9 +292,14 @@ class TestMeasurement:
             MeasurementNoise(sigma, seed)
 
     def test_singular_network_rejected(self):
-        J = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
-        with pytest.raises(SingularNetworkError):
-            measure_admittance(J, OBC)
+        # the second matrix is exactly singular, so its inversion itself fails
+        for J in ([[1.0, 1.0], [1.0, 1.0 + 1e-15]], [[1.0, 1.0], [1.0, 1.0]]):
+            with pytest.raises(SingularNetworkError):
+                measure_admittance(np.array(J, dtype=complex), OBC)
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValidationError):
+            measure_admittance(np.array(1.0), OBC)
 
     def test_unit_cell_protocol_needs_ring(self):
         with pytest.raises(ValidationError):

@@ -104,6 +104,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("line", [
         "kpoints = 64.9", "chain_N = 10.7", "resolution = 8.5", "kpoints = true", "chain_N = false", "threads = true",
+        'kpoints = "64"',
     ])
     def test_integer_key_must_be_integral(self, tmp_path, line):
         # these used to truncate (64.9 -> 64) or read true as 1
@@ -113,6 +114,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("old, new", [
         ("tL = 1.0", 'tL = "abc"'), ("tL = 1.0", "tL = [1]"), ("tL = 1.0", "tL = null"), ("tL = 1.0", "tL = true"),
         ("dL = [0, 0, 1]", "dL = 5"), ("dL = [0, 0, 1]", 'dL = [0, 0, "a"]'), ("dL = [0, 0, 1]", "dL = [true, 0, 0]"),
+        ("tL = 1.0", 'tL = "1.5"'), ("tL = 1.0", "tL = 1."), ("dL = [0, 0, 1]", 'dL = [0, 0, "1"]'),
     ])
     def test_malformed_model_value_is_config_error(self, tmp_path, old, new, capsys):
         # these used to exit 1 with a traceback, or read true as 1.0
@@ -120,7 +122,7 @@ class TestConfigParsing:
         assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(f"config error: key {new.split()[0]!r}")
 
-    @pytest.mark.parametrize("line", ['C0_nF = "x"', "C0_nF = true"])
+    @pytest.mark.parametrize("line", ['C0_nF = "x"', "C0_nF = true", 'C0_nF = "10"'])
     def test_malformed_circuit_value_is_config_error(self, tmp_path, line, capsys):
         cfg = write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text().replace("C0_nF = 10", line))
         assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
