@@ -26,7 +26,6 @@ from .eigensolve import (
     sort_bands_by_continuity,
 )
 from .errors import (
-    ConfigError,
     EigensolverError,
     NahnError,
     NumericalError,

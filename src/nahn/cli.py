@@ -21,13 +21,8 @@ from . import circuit as cct
 from . import skin as sk
 from . import topology as topo
 from .config import SETTINGS, RunConfig, load_config
-from .errors import (
-    ConfigError,
-    NumericalError,
-    SingularNetworkError,
-    ValidationError,
-)
-from .eigensolve import chain_eig, eig_dense, eigvals2x2, sort_bands_by_continuity
+from .errors import NumericalError, SingularNetworkError, ValidationError
+from .eigensolve import Spectrum, chain_eig, eig_dense, eigvals2x2, sort_bands_by_continuity
 from .model import BoundaryCondition, analytic_eigenvalues, chain_blocks
 from .output import build_header, write_report, write_table
 
@@ -35,6 +30,15 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SINGULAR = 4
+
+
+#: Run settings each command adds to the parameters ``_effective`` hashes.
+HASHED = {
+    "spectrum": ("ep_tol",),
+    "phase-diagram": ("t_min", "t_max", "resolution"),
+    "skin": ("window_fraction", "loc_threshold"),
+    "measure": ("window_fraction", "loc_threshold", "noise_sigma", "seed"),
+}
 
 
 def _effective(cfg: RunConfig, command: str) -> dict:
@@ -47,21 +51,24 @@ def _effective(cfg: RunConfig, command: str) -> dict:
         d["zero_r0"] = cfg.zero_r0
     if cfg.chain_N is not None:
         d["chain_N"] = cfg.chain_N
-    if command == "phase-diagram":
-        d.update(t_min=cfg.t_min, t_max=cfg.t_max, resolution=cfg.resolution)
-    if command in ("skin", "measure"):
-        d.update(window_fraction=cfg.window_fraction, loc_threshold=cfg.loc_threshold)
-    if command == "measure":
-        d.update(noise_sigma=cfg.noise_sigma, seed=cfg.seed)
-    if command == "spectrum":
-        d["ep_tol"] = cfg.ep_tol
+    d.update((key, getattr(cfg, key)) for key in HASHED[command])
     return d
 
 
 def _require_chain(cfg: RunConfig) -> int:
     if cfg.chain_N is None:
-        raise ConfigError("key 'chain_N' is required for this command")
+        raise ValidationError("key 'chain_N' is required for this command")
     return cfg.chain_N
+
+
+def _open_chain(cfg: RunConfig, eigenvectors: bool) -> tuple[int, Spectrum, float | None]:
+    """``(N, spectrum, drive)`` of the open chain; ``drive`` is None for a model."""
+    N = _require_chain(cfg)
+    if cfg.model is not None:
+        return N, chain_eig(*chain_blocks(cfg.model), N, eigenvectors=eigenvectors), None
+    drive = cfg.circuit.drive_frequency()
+    blocks = cct.circuit_blocks(cfg.circuit, drive, not cfg.zero_r0)
+    return N, chain_eig(*blocks, N, eigenvectors=eigenvectors), drive
 
 
 BAND_COLUMNS = ["k", "band", "re_E", "im_E"]
@@ -88,16 +95,14 @@ def _nu(invariant, *args) -> dict:
         return {"nu": None, "nu_error": str(exc)}
 
 
-def _write_bands(out: Path, fmt: str, command: str, eff: dict, grid, pairs, raw_scale=None, **extra) -> None:
+def _write_bands(out: Path, fmt: str, eff: dict, grid, pairs, raw_scale=None, **extra) -> None:
     """Continuity-sort band pairs and write them k-major as (k, band, re_E, im_E).
 
     With ``raw_scale`` each row also carries the eigenvalue times that
     scale as (re_j_S, im_j_S).
     """
     traj = sort_bands_by_continuity(grid.values, pairs)
-    header = build_header(
-        command, eff, kpoints=grid.n_points, band_swap=traj.band_swap, **extra,
-    )
+    header = build_header(eff, kpoints=grid.n_points, band_swap=traj.band_swap, **extra)
     e = traj.bands.T.ravel()
     columns = [np.repeat(grid.values, 2), np.tile([0, 1], grid.n_points), e.real, e.imag]
     if raw_scale is not None:
@@ -107,11 +112,11 @@ def _write_bands(out: Path, fmt: str, command: str, eff: dict, grid, pairs, raw_
     write_table(out, fmt, header, names, _rows(*columns))
 
 
-def _write_loci(out: Path, fmt: str, command: str, eff: dict, grid, loci, drive: float, **extra) -> None:
+def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extra) -> None:
     """Band table of admittance loci (siemens), shown in nF through 1/(i omega NF)."""
     pairs = eigvals2x2(loci * (1.0 / (1j * drive * cct.NF)))
     _write_bands(
-        out, fmt, command, eff, grid, pairs, 1j * drive * cct.NF,
+        out, fmt, eff, grid, pairs, 1j * drive * cct.NF,
         omega_rad_s=drive, eigenvalue_units="nF", tolerances={"det_zero": topo.DET_ZERO_TOL},
         **_nu(topo.braiding_degree_of_samples, loci), **extra,
     )
@@ -129,45 +134,36 @@ def _eigenvalue_rows(shown: np.ndarray, raw: np.ndarray | None = None):
 def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
     eff = _effective(cfg, "spectrum")
     grid = topo.KGrid(cfg.kpoints)
-    if cfg.model is not None:
-        if cfg.boundary is BoundaryCondition.PBC:
-            nu = _nu(topo.braiding_degree, cfg.model)  # first: it rejects amplitudes that overflow the bands
-            e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
-            _write_bands(
-                out, fmt, "spectrum", eff, grid, np.column_stack([e_plus, e_minus]),
-                ep_tol=cfg.ep_tol, tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
-                exceptional_k=[float(k) for k in topo.exceptional_scan(cfg.model, grid, cfg.ep_tol)],
-                **nu,
-            )
-        else:
-            N = _require_chain(cfg)
-            spec = chain_eig(*chain_blocks(cfg.model), N, eigenvectors=False)
-            header = build_header("spectrum", eff, chain_N=N, solver=spec.solver)
-            write_table(out, fmt, header, EIGENVALUE_COLUMNS, _eigenvalue_rows(spec.eigenvalues))
-        return
-
-    c = cfg.circuit
-    drive = c.drive_frequency()
-    include_r0 = not cfg.zero_r0
-    if cfg.boundary is BoundaryCondition.PBC:
-        loci = cct.admittance_bloch(c, drive, grid.values, include_r0=include_r0)
-        _write_loci(out, fmt, "spectrum", eff, grid, loci, drive)
-    else:
-        N = _require_chain(cfg)
-        spec = chain_eig(*cct.circuit_blocks(c, drive, include_r0), N, eigenvectors=False)
+    if cfg.boundary is BoundaryCondition.OBC:
+        N, spec, drive = _open_chain(cfg, eigenvectors=False)
         raw = spec.eigenvalues
-        header = build_header(
-            "spectrum", eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF", solver=spec.solver,
+        if drive is None:
+            header = build_header(eff, chain_N=N, solver=spec.solver)
+            write_table(out, fmt, header, EIGENVALUE_COLUMNS, _eigenvalue_rows(raw))
+        else:
+            header = build_header(eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF", solver=spec.solver)
+            rows = _eigenvalue_rows(raw * (1.0 / (1j * drive * cct.NF)), raw)
+            write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, rows)
+    elif cfg.model is not None:
+        nu = _nu(topo.braiding_degree, cfg.model)  # first: it rejects amplitudes that overflow the bands
+        e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
+        _write_bands(
+            out, fmt, eff, grid, np.column_stack([e_plus, e_minus]),
+            ep_tol=cfg.ep_tol, tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
+            exceptional_k=[float(k) for k in topo.exceptional_scan(cfg.model, grid, cfg.ep_tol)],
+            **nu,
         )
-        rows = _eigenvalue_rows(raw * (1.0 / (1j * drive * cct.NF)), raw)
-        write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, rows)
+    else:
+        drive = cfg.circuit.drive_frequency()
+        loci = cct.admittance_bloch(cfg.circuit, drive, grid.values, include_r0=not cfg.zero_r0)
+        _write_loci(out, fmt, eff, grid, loci, drive)
 
 
 def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.model is None:
-        raise ConfigError("phase-diagram needs a model block (the sweep varies tL and tR)")
+        raise ValidationError("phase-diagram needs a model block (the sweep varies tL and tR)")
     if cfg.model.t0 != 1.0:
-        raise ConfigError("phase-diagram sweeps fix t0 = 1; set t0 = 1 in the config")
+        raise ValidationError("phase-diagram sweeps fix t0 = 1; set t0 = 1 in the config")
     chain_N = cfg.chain_N if cfg.chain_N is not None else 100
     eff = _effective(cfg, "phase-diagram")
     eff["chain_N"] = chain_N
@@ -192,7 +188,6 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         diagram.boundary_residual.ravel(),
     )
     header = build_header(
-        "phase-diagram",
         eff,
         resolution=cfg.resolution,
         chain_N=chain_N,
@@ -216,22 +211,16 @@ def _states_rows(densities: np.ndarray, eigenvalues: np.ndarray, order: np.ndarr
 
 
 def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
-    N = _require_chain(cfg)
+    N, spec, drive = _open_chain(cfg, eigenvectors=True)
     eff = _effective(cfg, "skin")
-    if cfg.model is not None:
-        spec = sk.obc_eigenstates(cfg.model, N)
-        shown = spec.eigenvalues
-        units = "dimensionless"
+    if drive is None:
+        shown, units = spec.eigenvalues, "dimensionless"
     else:
-        drive = cfg.circuit.drive_frequency()
-        spec = chain_eig(*cct.circuit_blocks(cfg.circuit, drive, not cfg.zero_r0), N)
-        shown = spec.eigenvalues / (1j * drive * cct.NF)
-        units = "nF"
+        shown, units = spec.eigenvalues / (1j * drive * cct.NF), "nF"
     densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
     report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
     order = _canonical_order(shown)
     header = build_header(
-        "skin",
         eff,
         chain_N=N,
         eigenvalue_units=units,
@@ -260,7 +249,7 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.circuit is None:
-        raise ConfigError("measure needs a circuit block")
+        raise ValidationError("measure needs a circuit block")
     N = _require_chain(cfg)
     eff = _effective(cfg, "measure")
     noise = None
@@ -285,11 +274,11 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     if cfg.boundary is BoundaryCondition.PBC:
         grid = topo.KGrid(cfg.kpoints)
         loci = cct.bloch_samples_from_chain(J_rec, grid.values)
-        _write_loci(out, fmt, "measure", eff, grid, loci, drive, noise=noise_meta, protocol=protocol)
-        header = build_header("measure", eff, chain_N=N, **meta)
+        _write_loci(out, fmt, eff, grid, loci, drive, noise=noise_meta, protocol=protocol)
+        header = build_header(eff, chain_N=N, **meta)
     else:
         report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
-        header = build_header("measure", eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
+        header = build_header(eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
         write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, _eigenvalue_rows(shown, spec.eigenvalues))
     rows = _states_rows(densities, shown, _canonical_order(shown))
     write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, STATE_COLUMNS, rows)
@@ -326,7 +315,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, {k: v for k, v in vars(args).items() if k in SETTINGS})
         out = Path(args.out) if args.out else Path(f"{args.command}.{args.format}")
         COMMANDS[args.command](cfg, out, args.format)
-    except (ConfigError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SingularNetworkError as exc:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .circuit import COMPONENT_KEYS, CircuitParams
-from .errors import ConfigError, ValidationError
+from .errors import ValidationError
 from .model import BoundaryCondition, GaugeVector, ModelParams
 from .skin import DEFAULT_THRESHOLD, DEFAULT_WINDOW_FRACTION
 from .topology import DEFAULT_KPOINTS, EP_TOL
@@ -77,14 +77,14 @@ def parse_kv_text(text: str) -> dict:
         if not stripped:
             continue
         if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise ConfigError(f"line {lineno}: empty key")
+            raise ValidationError(f"line {lineno}: empty key")
         if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            raise ValidationError(f"line {lineno}: duplicate key {key!r}")
         out[key] = _parse_scalar(value)
     return out
 
@@ -98,59 +98,65 @@ def _setting(key: str, kind, value):
         return None if value is None else _setting(key, float, value)
     if kind is GaugeVector:
         if not isinstance(value, list) or len(value) != 3:
-            raise ConfigError(f"key {key!r}: expected a list of three numbers, got {value!r}")
+            raise ValidationError(f"key {key!r}: expected a list of three numbers, got {value!r}")
         return [_setting(key, float, v) for v in value]
     if kind is BoundaryCondition:
         name = str(value).upper()
         if name not in ("PBC", "OBC"):
-            raise ConfigError(f"key {key!r}: expected PBC or OBC, got {value!r}")
+            raise ValidationError(f"key {key!r}: expected PBC or OBC, got {value!r}")
         return BoundaryCondition[name]
     fractional = kind is int and isinstance(value, float) and not value.is_integer()
     if isinstance(value, bool) != (kind is bool) or isinstance(value, str) or fractional:
-        raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
+        raise ValidationError(f"key {key!r}: expected {kind.__name__}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"key {key!r}: cannot interpret {value!r} as {kind.__name__}") from exc
+        raise ValidationError(f"key {key!r}: cannot interpret {value!r} as {kind.__name__}") from exc
 
 
 def _coerce(raw: dict) -> RunConfig:
     kinds = {**MODEL_KEYS, **CIRCUIT_KEYS, **SETTINGS}
     unknown = sorted(raw.keys() - kinds.keys())
     if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
 
     model_present = MODEL_KEYS.keys() & raw.keys()
     circuit_present = CIRCUIT_KEYS.keys() & raw.keys()
     if model_present and circuit_present:
-        raise ConfigError(
+        raise ValidationError(
             "config mixes model keys "
             f"({', '.join(sorted(model_present))}) with circuit keys "
             f"({', '.join(sorted(circuit_present))}); provide exactly one block"
         )
     if not model_present and not circuit_present:
-        raise ConfigError(f"config must contain a model block ({', '.join(MODEL_KEYS)}) "
-                          f"or a circuit block ({', '.join(COMPONENT_KEYS.values())})")
+        raise ValidationError(f"config must contain a model block ({', '.join(MODEL_KEYS)}) "
+                              f"or a circuit block ({', '.join(COMPONENT_KEYS.values())})")
 
     values = {key: _setting(key, kinds[key], value) for key, value in raw.items()}
     cfg = RunConfig()
-    try:
-        if model_present:
-            missing = sorted(MODEL_KEYS.keys() - raw.keys())
-            if missing:
-                raise ConfigError(f"incomplete model block, missing key(s): {', '.join(missing)}")
-            cfg.model = ModelParams.from_dict(values)
-        else:
-            missing = sorted(set(COMPONENT_KEYS.values()) - raw.keys())
-            if missing:
-                raise ConfigError(f"incomplete circuit block, missing key(s): {', '.join(missing)}")
-            cfg.circuit = CircuitParams.from_dict(values)
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+    if model_present:
+        missing = sorted(MODEL_KEYS.keys() - raw.keys())
+        if missing:
+            raise ValidationError(f"incomplete model block, missing key(s): {', '.join(missing)}")
+        cfg.model = ModelParams.from_dict(values)
+    else:
+        missing = sorted(set(COMPONENT_KEYS.values()) - raw.keys())
+        if missing:
+            raise ValidationError(f"incomplete circuit block, missing key(s): {', '.join(missing)}")
+        cfg.circuit = CircuitParams.from_dict(values)
 
     for key in SETTINGS.keys() & values.keys():
         setattr(cfg, key, values[key])
     return cfg
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; a repeated key is an error."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValidationError(f"duplicate key(s): {', '.join(repeated)}")
+    return dict(pairs)
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
@@ -161,16 +167,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     if path.suffix == ".json":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+            raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
         if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top-level JSON value must be an object")
+            raise ValidationError(f"{path}: top-level JSON value must be an object")
     else:
         raw = parse_kv_text(text)
     return _coerce({**raw, **(overrides or {})})

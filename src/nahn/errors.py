@@ -6,11 +6,7 @@ class NahnError(Exception):
 
 
 class ValidationError(NahnError, ValueError):
-    """Invalid physical parameters or malformed numerical input."""
-
-
-class ConfigError(NahnError, ValueError):
-    """Malformed or inconsistent run configuration."""
+    """Invalid input: a malformed config, bad parameters or bad numerical input."""
 
 
 class NumericalError(NahnError, RuntimeError):

@@ -15,13 +15,14 @@ from pathlib import Path
 from .config import config_hash
 
 
-def build_header(command: str, effective_cfg: dict, **extra) -> dict:
+def build_header(effective_cfg: dict, **extra) -> dict:
+    """Provenance header: ``effective_cfg``'s command and digest, then ``extra``."""
     from . import __version__
 
     header = {
         "artifact": "nahn",
         "version": __version__,
-        "command": command,
+        "command": effective_cfg["command"],
         "config_sha256": config_hash(effective_cfg),
     }
     header.update(extra)

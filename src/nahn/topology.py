@@ -302,8 +302,8 @@ def compute_phase_diagram(
     depend on the pool width or the BLAS thread setting.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
-    if not lo >= 0.0 or hi <= lo:
-        raise ValidationError(f"t range must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+    if not 0.0 <= lo < hi < np.inf:
+        raise ValidationError(f"t range must satisfy 0 <= lo < hi < inf, got ({lo}, {hi})")
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution

@@ -13,7 +13,7 @@ import pytest
 import nahn
 from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
-from nahn.errors import ConfigError
+from nahn.errors import ValidationError
 from nahn.eigensolve import _openblas_thread_controls
 from nahn.output import write_table
 
@@ -79,17 +79,17 @@ class TestConfigParsing:
 
     def test_unknown_key_named(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "tl = 2\n")
-        with pytest.raises(ConfigError, match="tl"):
+        with pytest.raises(ValidationError, match="tl"):
             load_config(cfg)
 
     def test_mixed_blocks_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "C0_nF = 10\n")
-        with pytest.raises(ConfigError, match="C0_nF"):
+        with pytest.raises(ValidationError, match="C0_nF"):
             load_config(cfg)
 
     def test_incomplete_block_names_missing(self, tmp_path):
         cfg = write_cfg(tmp_path, "t0 = 1\ntL = 1\ntR = 3\ndL = [0,0,1]\n")
-        with pytest.raises(ConfigError, match="dR"):
+        with pytest.raises(ValidationError, match="dR"):
             load_config(cfg)
 
     def test_json_equivalent(self, tmp_path):
@@ -99,8 +99,21 @@ class TestConfigParsing:
         assert load_config(as_json).model == kv.model
 
     def test_duplicate_key_line_reported(self, tmp_path):
-        with pytest.raises(ConfigError, match="line 3"):
+        with pytest.raises(ValidationError, match="line 3"):
             load_config(write_cfg(tmp_path, "t0 = 1\ntL = 2\ntL = 3\n"))
+
+    def test_json_duplicate_key_rejected(self, tmp_path, capsys):
+        # json.loads alone keeps the last tR (0.5, nu = 0) where the first (3) gives nu = -2
+        text = '{"t0": 1, "tL": 1, "tR": 3, "dL": [0,0,1], "dR": [1,0,0], "tR": 0.5}'
+        cfg = write_cfg(tmp_path, text, name="run.json")
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "tR" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# caf\xe9\n" + MODEL_CFG.encode())
+        assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config file")
 
     @pytest.mark.parametrize("line", [
         "kpoints = 64.9", "chain_N = 10.7", "resolution = 8.5", "kpoints = true", "chain_N = false", "threads = true",
@@ -108,7 +121,7 @@ class TestConfigParsing:
     ])
     def test_integer_key_must_be_integral(self, tmp_path, line):
         # these used to truncate (64.9 -> 64) or read true as 1
-        with pytest.raises(ConfigError, match=line.split()[0]):
+        with pytest.raises(ValidationError, match=line.split()[0]):
             load_config(write_cfg(tmp_path, MODEL_CFG.replace("kpoints = 256", line)))
 
     @pytest.mark.parametrize("old, new", [
@@ -272,6 +285,12 @@ class TestPhaseDiagramCommand:
         }
         assert outputs["threads1"] == outputs["blas1"]
         assert outputs["threads2"] == outputs["blas1"]
+
+    @pytest.mark.parametrize("t_max", ["NaN", "Infinity"])
+    def test_non_finite_range_rejected(self, tmp_path, t_max, capsys):
+        cfg = write_cfg(tmp_path, SWEEP_CFG + f"t_max = {t_max}\n")
+        assert main(["phase-diagram", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "t range" in capsys.readouterr().err
 
     def test_circuit_config_rejected(self, tmp_path):
         code = main([
@@ -472,6 +491,16 @@ class TestDeterminismAndEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 0
+        assert out.exists()
+
+    def test_cli_module_entry_point(self, tmp_path):
+        # runs only through cli.py's __main__ guard; without it this exits 0 and writes nothing
+        out = tmp_path / "fig1c.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nahn.cli", "spectrum", "--config", str(RECIPES / "fig1c.cfg"), "--out", str(out)],
+            capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
         assert out.exists()
 
     def test_missing_config_file(self, tmp_path):

@@ -1,5 +1,6 @@
 """Braiding degree, point-gap windings, phase boundaries and the diagram sweep."""
 
+import math
 import threading
 
 import numpy as np
@@ -402,6 +403,8 @@ class TestPhaseDiagram:
             compute_phase_diagram((0.0, 4.0), 4, chain_N=10)
         with pytest.raises(ValidationError):
             compute_phase_diagram((0.0, 1e-160), 8, chain_N=10)
+        with pytest.raises(ValidationError, match="t range"):
+            compute_phase_diagram((0.0, math.inf), 8, 10)
 
 
 @pytest.fixture
