@@ -76,15 +76,11 @@ EIGENVALUE_COLUMNS = ["index", "re_E", "im_E"]
 RAW_COLUMNS = ["re_j_S", "im_j_S"]
 STATE_COLUMNS = ["state_index", "re_E", "im_E", "site", "density"]
 PHASE_COLUMNS = ["tL", "tR", "nu", "gamma", "boundary_residual"]
+REPORT_COLUMNS = ["state_index", "re_E", "im_E", "class", "w_left", "w_right"]
 
 
 def _canonical_order(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
-
-
-def _rows(*columns):
-    """Row tuples of plain Python ints and floats from equal-length numpy columns."""
-    return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 def _nu(invariant, *args) -> dict:
@@ -109,7 +105,7 @@ def _write_bands(out: Path, fmt: str, eff: dict, grid, pairs, raw_scale=None, **
         raw = e * raw_scale
         columns += [raw.real, raw.imag]
     names = BAND_COLUMNS if raw_scale is None else BAND_COLUMNS + RAW_COLUMNS
-    write_table(out, fmt, header, names, _rows(*columns))
+    write_table(out, fmt, header, names, np.rec.fromarrays(columns, names=names))
 
 
 def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extra) -> None:
@@ -122,13 +118,15 @@ def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extr
     )
 
 
-def _eigenvalue_rows(shown: np.ndarray, raw: np.ndarray | None = None):
-    """Rows (index, re_E, im_E[, re_j_S, im_j_S]) in canonical order of ``shown``."""
+def _write_eigenvalues(out: Path, fmt: str, header: dict, shown: np.ndarray, raw: np.ndarray | None = None) -> None:
+    """Write (index, re_E, im_E[, re_j_S, im_j_S]) in canonical order of ``shown``."""
     order = _canonical_order(shown)
     columns = [np.arange(len(order)), shown[order].real, shown[order].imag]
+    names = EIGENVALUE_COLUMNS
     if raw is not None:
         columns += [raw[order].real, raw[order].imag]
-    return _rows(*columns)
+        names = EIGENVALUE_COLUMNS + RAW_COLUMNS
+    write_table(out, fmt, header, names, np.rec.fromarrays(columns, names=names))
 
 
 def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -139,11 +137,10 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
         raw = spec.eigenvalues
         if drive is None:
             header = build_header(eff, chain_N=N, solver=spec.solver)
-            write_table(out, fmt, header, EIGENVALUE_COLUMNS, _eigenvalue_rows(raw))
+            _write_eigenvalues(out, fmt, header, raw)
         else:
             header = build_header(eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF", solver=spec.solver)
-            rows = _eigenvalue_rows(raw * (1.0 / (1j * drive * cct.NF)), raw)
-            write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, rows)
+            _write_eigenvalues(out, fmt, header, raw * (1.0 / (1j * drive * cct.NF)), raw)
     elif cfg.model is not None:
         nu = _nu(topo.braiding_degree, cfg.model)  # first: it rejects amplitudes that overflow the bands
         e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
@@ -180,13 +177,13 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         threads=cfg.threads,
         progress=progress,
     )
-    rows = _rows(
+    columns = [
         np.repeat(diagram.tL_axis, len(diagram.tR_axis)),
         np.tile(diagram.tR_axis, len(diagram.tL_axis)),
         diagram.nu.ravel(),
         diagram.gamma.ravel(),
         diagram.boundary_residual.ravel(),
-    )
+    ]
     header = build_header(
         eff,
         resolution=cfg.resolution,
@@ -194,20 +191,21 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         nu_sentinel=topo.NU_SENTINEL,
         tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
     )
-    write_table(out, fmt, header, PHASE_COLUMNS, rows)
+    write_table(out, fmt, header, PHASE_COLUMNS, np.rec.fromarrays(columns, names=PHASE_COLUMNS))
 
 
-def _states_rows(densities: np.ndarray, eigenvalues: np.ndarray, order: np.ndarray):
-    """Rows (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1."""
+def _states_table(densities: np.ndarray, eigenvalues: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Table (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1."""
     n_sites = densities.shape[1]
     e = np.repeat(eigenvalues[order], n_sites)
-    return _rows(
+    columns = [
         np.repeat(np.arange(len(order)), n_sites),
         e.real,
         e.imag,
         np.tile(np.arange(1, n_sites + 1), len(order)),
         densities[order].ravel(),
-    )
+    ]
+    return np.rec.fromarrays(columns, names=STATE_COLUMNS)
 
 
 def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -230,18 +228,19 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         loc_threshold=cfg.loc_threshold,
         solver=spec.solver,
     )
-    write_table(out, fmt, header, STATE_COLUMNS, _states_rows(densities, shown, order))
+    write_table(out, fmt, header, STATE_COLUMNS, _states_table(densities, shown, order))
     payload = {
         "header": header,
         "gamma": report.gamma,
         "bipolar": report.bipolar,
         "counts": report.counts(),
         "states": [
-            dict(zip(("state_index", "re_E", "im_E", "class", "w_left", "w_right"), row))
-            for row in _rows(
-                np.arange(len(order)), shown[order].real, shown[order].imag,
-                np.asarray(report.classes)[order], report.w_left[order], report.w_right[order],
-            )
+            dict(zip(REPORT_COLUMNS, row))
+            for row in np.rec.fromarrays(
+                [np.arange(len(order)), shown[order].real, shown[order].imag,
+                 np.asarray(report.classes)[order], report.w_left[order], report.w_right[order]],
+                names=REPORT_COLUMNS,
+            ).tolist()
         ],
     }
     write_report(out.with_name(f"{out.stem}.report.json"), payload)
@@ -279,9 +278,9 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     else:
         report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
         header = build_header(eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
-        write_table(out, fmt, header, EIGENVALUE_COLUMNS + RAW_COLUMNS, _eigenvalue_rows(shown, spec.eigenvalues))
-    rows = _states_rows(densities, shown, _canonical_order(shown))
-    write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, STATE_COLUMNS, rows)
+        _write_eigenvalues(out, fmt, header, shown, spec.eigenvalues)
+    table = _states_table(densities, shown, _canonical_order(shown))
+    write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, STATE_COLUMNS, table)
 
 
 COMMANDS = {

@@ -1,9 +1,11 @@
 """Deterministic CSV/JSON table writers with provenance headers.
 
-Floats are written with 17 significant digits so files round-trip exactly
-and repeated runs with the same configuration are byte-identical. Headers
-never contain wall-clock information. Files are streamed to disk as they
-are formatted.
+Every float round-trips exactly: CSV writes 17 significant digits
+(``{:.17g}``), JSON writes Python's shortest round-trip ``repr``. Repeated
+runs with the same configuration are byte-identical, and headers never
+contain wall-clock information. Tables arrive as numpy columns; each
+distinct value of a column is formatted once, and the rows are streamed
+to disk as they are assembled.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+
+import numpy as np
 
 from .config import config_hash
 
@@ -54,29 +58,54 @@ def _dump_json(doc, f) -> None:
     f.write("\n")
 
 
-def write_table(path, fmt: str, header: dict, columns, rows) -> Path:
+def _cells(column: np.ndarray, fmt: str) -> list:
+    """The strings ``fmt`` writes for ``column``, each distinct value formatted once.
+
+    Floats are told apart by their bit pattern, so ``-0.0`` and ``0.0``
+    keep their own strings. CSV writes ``{:.17g}`` of the Python int or
+    float; JSON writes its ``repr``, and ``null`` for NaN and infinities.
+    """
+    is_float = column.dtype.kind == "f"
+    distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if is_float else column, return_inverse=True)
+    if is_float:
+        distinct = distinct.view(column.dtype)
+    strings = np.array(list(map("{:.17g}".format if fmt == "csv" else repr, distinct.tolist())), dtype=object)
+    if fmt == "json":
+        strings[~np.isfinite(distinct)] = "null"
+    return strings[inverse].tolist()
+
+
+def write_table(path, fmt: str, header: dict, columns, table) -> Path:
     """Write a rectangular table with a provenance header.
 
-    ``rows`` is a sequence of tuples of Python ints and floats. CSV files
-    carry the header as one ``#``-prefixed JSON comment line followed by
-    the column line, and write NaN and infinities as ``nan``/``inf``; JSON
-    files hold ``{"header": ..., "columns": ..., "rows": ...}`` with
-    ``null`` in their place.
+    ``table`` is a numpy structured array of int and float fields; the file
+    holds the fields named in ``columns``, in that order, one row per
+    element. CSV files carry the header as one ``#``-prefixed JSON comment
+    line followed by the column line, and write NaN and infinities as
+    ``nan``/``inf``; JSON files hold ``{"header": ..., "columns": ...,
+    "rows": ...}`` laid out as ``json.dump(..., sort_keys=True, indent=1)``
+    would, with ``null`` in their place.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
+    cells = [_cells(table[name], fmt) for name in columns]
     with _open(path) as f:
         if fmt == "csv":
             f.write("# " + json.dumps(_sanitize(header), sort_keys=True) + "\n")
             f.write(",".join(columns) + "\n")
-            line = ",".join(["{:.17g}"] * len(columns)) + "\n"
-            f.writelines(line.format(*row) for row in rows)
+            line = ",".join(["{}"] * len(columns)) + "\n"
+            f.writelines(map(line.format, *cells))
         else:
-            rows = [
-                row if all(map(math.isfinite, row)) else [v if math.isfinite(v) else None for v in row]
-                for row in rows
-            ]
-            _dump_json({"header": _sanitize(header), "columns": list(columns), "rows": rows}, f)
+            doc = {"header": _sanitize(header), "columns": list(columns), "rows": []}
+            text = json.dumps(doc, sort_keys=True, indent=1)
+            if len(table):
+                # "rows" sorts last, so ``text`` ends with its empty list: open it and splice the rows in.
+                f.write(text[: -len("[]\n}")] + "[\n")
+                row = "  [\n" + ",\n".join(["   {}"] * len(columns)) + "\n  ]"
+                last = [c.pop() for c in cells]
+                f.writelines(map((row + ",\n").format, *cells))
+                text = row.format(*last) + "\n ]\n}"
+            f.write(text + "\n")
     return Path(path)
 
 

@@ -1,6 +1,7 @@
 """Config parsing, output files, CLI commands and exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.output import write_table
+from nahn.output import _sanitize, write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -157,16 +158,18 @@ class TestConfigParsing:
 
 class TestWriteTable:
     HEADER = {"gamma": float("nan"), "n": np.int64(3)}
-    ROWS = [(0, 1.5, float("nan")), (1, -0.0, float("inf")), (2, 0.1, float("-inf"))]
+    TABLE = np.rec.fromarrays(
+        [[0, 1, 2], [1.5, -0.0, 0.1], [float("nan"), float("inf"), float("-inf")]], names=["i", "x", "y"]
+    )
 
     def test_csv_writes_nan_inf_and_signed_zero(self, tmp_path):
-        path = write_table(tmp_path / "new" / "t.csv", "csv", self.HEADER, ["i", "x", "y"], self.ROWS)
+        path = write_table(tmp_path / "new" / "t.csv", "csv", self.HEADER, ["i", "x", "y"], self.TABLE)
         assert path.read_text() == (
             '# {"gamma": null, "n": 3}\ni,x,y\n0,1.5,nan\n1,-0,inf\n2,0.10000000000000001,-inf\n'
         )
 
     def test_json_writes_null_for_non_finite(self, tmp_path):
-        path = write_table(tmp_path / "new" / "t.json", "json", self.HEADER, ["i", "x", "y"], self.ROWS)
+        path = write_table(tmp_path / "new" / "t.json", "json", self.HEADER, ["i", "x", "y"], self.TABLE)
         assert path.read_text().split("\n") == [
             "{", ' "columns": [', '  "i",', '  "x",', '  "y"', " ],",
             ' "header": {', '  "gamma": null,', '  "n": 3', " },",
@@ -181,6 +184,77 @@ class TestWriteTable:
         with pytest.raises(ValueError, match="unknown output format"):
             write_table(tmp_path / "t.txt", "txt", {}, ["i"], [(0,)])
         assert not (tmp_path / "t.txt").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, text", [
+        ("spectrum", MODEL_CFG),
+        ("spectrum", MODEL_CFG.replace("boundary = PBC", "boundary = OBC\nchain_N = 10")),
+        ("skin", MODEL_CFG.replace("boundary = PBC", "boundary = OBC\nchain_N = 10")),
+        ("phase-diagram", MODEL_CFG + "t_min = 0.0\nt_max = 4.0\nresolution = 8\nchain_N = 10\n"),
+    ], ids=["bands", "eigenvalues", "states", "phase"])
+    def test_table_length_is_data_row_count(self, tmp_path, monkeypatch, command, text, fmt):
+        # bench/tracing.py counts a table's rows as len() of write_table's 5th argument
+        lengths = {}
+
+        def spy(path, *args):
+            lengths[Path(path)] = len(args[3])
+            return write_table(path, *args)
+
+        monkeypatch.setattr("nahn.cli.write_table", spy)
+        cfg = write_cfg(tmp_path, text)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / f"t.{fmt}"), "--format", fmt]) == 0
+        assert lengths
+        for path, n in lengths.items():
+            if fmt == "csv":
+                assert len(path.read_text().splitlines()) - 2 == n
+            else:
+                assert len(json.loads(path.read_text())["rows"]) == n
+
+
+def _row_writer(path, fmt, header, columns, rows):
+    """The writer tables had before they arrived as columns: one row tuple of Python numbers at a time."""
+    with open(path, "w", newline="\n") as f:
+        if fmt == "csv":
+            f.write("# " + json.dumps(_sanitize(header), sort_keys=True) + "\n")
+            f.write(",".join(columns) + "\n")
+            line = ",".join(["{:.17g}"] * len(columns)) + "\n"
+            f.writelines(line.format(*row) for row in rows)
+        else:
+            rows = [
+                row if all(map(math.isfinite, row)) else [v if math.isfinite(v) else None for v in row]
+                for row in rows
+            ]
+            json.dump({"header": _sanitize(header), "columns": list(columns), "rows": rows}, f, sort_keys=True, indent=1)
+            f.write("\n")
+
+
+def _random_table(rng, n_rows):
+    """Columns that exercise every formatting case: huge ints, signed zeros, non-finite, subnormal, repeats."""
+    special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 2.2e-310, 1e308, -1e308, 0.1, 1.0])
+    pool = np.concatenate([special, rng.standard_normal(20) * 10.0 ** rng.integers(-300, 300, 20)])
+    return {
+        "big": rng.integers(-(2**62), 2**62, n_rows),
+        "index": np.repeat(np.arange(n_rows), 7)[:n_rows],
+        "repeated": rng.choice(pool, n_rows),
+        "fresh": rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 308, n_rows),
+        "zeros": rng.choice([-0.0, 0.0], n_rows),
+    }
+
+
+class TestWriteTableMatchesRowWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 600])
+    def test_bytes_equal(self, tmp_path, fmt, n_rows):
+        columns = _random_table(np.random.default_rng(n_rows), n_rows)
+        names = list(columns)
+        # a header key named "rows" must not be mistaken for the table's
+        header = {"gamma": float("nan"), "n": np.int64(n_rows), "rows": []}
+        table = np.rec.fromarrays(list(columns.values()), names=names)
+        for chosen in (names, names[::-1][:3], names[2:3]):
+            new = write_table(tmp_path / f"new.{fmt}", fmt, header, chosen, table).read_bytes()
+            rows = list(zip(*(columns[name].tolist() for name in chosen)))
+            _row_writer(tmp_path / f"old.{fmt}", fmt, header, chosen, rows)
+            assert new == (tmp_path / f"old.{fmt}").read_bytes()
 
 
 class TestSpectrumCommand:
