@@ -12,6 +12,7 @@ tolerances). Exit codes: 0 success, 2 config error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -229,21 +230,13 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         solver=spec.solver,
     )
     write_table(out, fmt, header, STATE_COLUMNS, _states_table(densities, shown, order))
-    payload = {
-        "header": header,
-        "gamma": report.gamma,
-        "bipolar": report.bipolar,
-        "counts": report.counts(),
-        "states": [
-            dict(zip(REPORT_COLUMNS, row))
-            for row in np.rec.fromarrays(
-                [np.arange(len(order)), shown[order].real, shown[order].imag,
-                 np.asarray(report.classes)[order], report.w_left[order], report.w_right[order]],
-                names=REPORT_COLUMNS,
-            ).tolist()
-        ],
-    }
-    write_report(out.with_name(f"{out.stem}.report.json"), payload)
+    payload = {"header": header, "gamma": report.gamma, "bipolar": report.bipolar, "counts": report.counts()}
+    states = np.rec.fromarrays(
+        [np.arange(len(order)), shown[order].real, shown[order].imag,
+         np.asarray(report.classes)[order], report.w_left[order], report.w_right[order]],
+        names=REPORT_COLUMNS,
+    )
+    write_report(out.with_name(f"{out.stem}.report.json"), payload, states)
 
 
 def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -291,7 +284,9 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nahn`` argument parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(prog="nahn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:

@@ -353,6 +353,12 @@ def sort_bands_by_continuity(k_values, pairs) -> BandTrajectories:
     eigenvalues at each grid point, all finite. At every step the pairing
     minimizing the total |Delta E| is chosen; ties within
     ``NEAR_DEGENERACY_TOL`` keep the previous ordering.
+
+    Whether row ``j`` is swapped against the raw pairs depends only on row
+    ``j - 1`` and the raw costs between them: it flips where the raw swap
+    costs less, and a tie (or two infinite costs) resets it to the raw
+    order. The swaps are thus a cumulative XOR of the raw comparisons,
+    restarted at every tie, and need no loop over k.
     """
     k = np.asarray(k_values, dtype=float)
     E = np.asarray(pairs, dtype=complex)
@@ -367,21 +373,15 @@ def sort_bands_by_continuity(k_values, pairs) -> BandTrajectories:
     if k[0] != 0.0 or not np.allclose(spacing, expected, rtol=0, atol=1e-9):
         raise ValidationError("k grid must be uniform over [0, 2*pi) starting at 0")
 
-    bands = np.empty_like(E)
-    bands[0] = E[0]
-    near = []
-    for j in range(1, len(k)):
-        a, b = E[j]
-        prev = bands[j - 1]
-        cost_keep = abs(a - prev[0]) + abs(b - prev[1])
-        cost_swap = abs(b - prev[0]) + abs(a - prev[1])
-        if abs(cost_keep - cost_swap) < NEAR_DEGENERACY_TOL:
-            near.append(j)
-            bands[j] = (a, b)
-        elif cost_keep <= cost_swap:
-            bands[j] = (a, b)
-        else:
-            bands[j] = (b, a)
+    raw_keep = np.abs(E[1:, 0] - E[:-1, 0]) + np.abs(E[1:, 1] - E[:-1, 1])
+    raw_swap = np.abs(E[1:, 1] - E[:-1, 0]) + np.abs(E[1:, 0] - E[:-1, 1])
+    gap = np.abs(raw_keep - raw_swap)
+    restart = np.concatenate([[True], ~(gap >= NEAR_DEGENERACY_TOL)])  # NaN: both costs infinite
+    flips = np.cumsum(np.concatenate([[False], raw_swap < raw_keep]))
+    last_restart = np.maximum.accumulate(np.where(restart, np.arange(len(k)), 0))
+    swapped = (flips - flips[last_restart]) % 2 == 1
+    bands = np.where(swapped[:, None], E[:, ::-1], E)
+    near = (np.flatnonzero(gap < NEAR_DEGENERACY_TOL) + 1).tolist()
     # closure across the wrap step decides whether the bands exchanged
     cost_keep = abs(bands[0, 0] - bands[-1, 0]) + abs(bands[0, 1] - bands[-1, 1])
     cost_swap = abs(bands[0, 1] - bands[-1, 0]) + abs(bands[0, 0] - bands[-1, 1])

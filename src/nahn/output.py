@@ -4,8 +4,11 @@ Every float round-trips exactly: CSV writes 17 significant digits
 (``{:.17g}``), JSON writes Python's shortest round-trip ``repr``. Repeated
 runs with the same configuration are byte-identical, and headers never
 contain wall-clock information. Tables arrive as numpy columns; each
-distinct value of a column is formatted once, and the rows are streamed
-to disk as they are assembled.
+distinct value of a column is formatted once, together with the
+separators its cells carry (a CSV row's line end; a JSON row's brackets
+and indentation). A row is then its cells joined by one separator, and
+rows are streamed to disk one at a time; the document is never built as
+one string. The skin report's states take the same path, as JSON objects.
 """
 
 from __future__ import annotations
@@ -53,26 +56,65 @@ def _open(path):
     return path.open("w", newline="\n")
 
 
-def _dump_json(doc, f) -> None:
-    json.dump(doc, f, sort_keys=True, indent=1)
-    f.write("\n")
+def _cells(column: np.ndarray, fmt: str, before: str = "", after: str = "") -> list:
+    """The strings ``fmt`` writes for ``column``, each between ``before`` and ``after``.
 
-
-def _cells(column: np.ndarray, fmt: str) -> list:
-    """The strings ``fmt`` writes for ``column``, each distinct value formatted once.
-
-    Floats are told apart by their bit pattern, so ``-0.0`` and ``0.0``
-    keep their own strings. CSV writes ``{:.17g}`` of the Python int or
-    float; JSON writes its ``repr``, and ``null`` for NaN and infinities.
+    Each distinct value is formatted and glued once, and the strings are
+    gathered by the inverse index. Floats are told apart by their bit
+    pattern, so ``-0.0`` and ``0.0`` keep their own strings. CSV writes
+    ``{:.17g}`` of the Python int or float; JSON writes its ``repr``,
+    ``null`` for NaN and infinities, and strings as ``json.dumps`` quotes
+    them.
     """
-    is_float = column.dtype.kind == "f"
-    distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if is_float else column, return_inverse=True)
-    if is_float:
+    kind = column.dtype.kind
+    distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if kind == "f" else column, return_inverse=True)
+    if kind == "f":
         distinct = distinct.view(column.dtype)
-    strings = np.array(list(map("{:.17g}".format if fmt == "csv" else repr, distinct.tolist())), dtype=object)
-    if fmt == "json":
+    to_text = "{:.17g}".format if fmt == "csv" else json.dumps if kind == "U" else repr
+    strings = np.array(list(map(to_text, distinct.tolist())), dtype=object)
+    if fmt == "json" and kind == "f":
         strings[~np.isfinite(distinct)] = "null"
+    # in place, so that each unglued string is freed as its glued one replaces it
+    if before:
+        np.add(before, strings, out=strings)
+    if after:
+        np.add(strings, after, out=strings)
     return strings[inverse].tolist()
+
+
+def _glued_cells(table: np.ndarray, names, fmt: str, opening: str, closing: str, labels=None) -> list:
+    """Per field in ``names``, its cells: the first field's start with ``opening``, the last field's end with ``closing``.
+
+    ``labels``, one per field, go before each of its values (JSON object keys).
+    """
+    labels = labels or [""] * len(names)
+    last = len(names) - 1
+    return [
+        _cells(table[name], fmt, (opening if i == 0 else "") + label, closing if i == last else "")
+        for i, (name, label) in enumerate(zip(names, labels))
+    ]
+
+
+def _write_spliced(f, doc: dict, key: str, cells: list) -> None:
+    """Write ``doc`` as ``json.dump(doc, sort_keys=True, indent=1)`` would, with ``cells``' rows as ``doc[key]``.
+
+    ``doc[key]`` is an empty list at the top level. A row is its cells
+    joined by the text between two values at indent 3, and every row but
+    the last keeps the ``",\n"`` its closing cell ends in. Rows are
+    streamed one at a time.
+    """
+    # only a top-level key follows a newline and a single space: nested keys
+    # sit deeper, and a newline inside a JSON string is escaped
+    head, tail = json.dumps(doc, sort_keys=True, indent=1).split(f'\n "{key}": []')
+    f.write(f'{head}\n "{key}": ')
+    if cells and cells[0]:
+        last = [c.pop() for c in cells]
+        f.write("[\n")
+        f.writelines(map(",\n   ".join, zip(*cells)))
+        f.write(",\n   ".join(last)[: -len(",\n")] + "\n ]")
+    else:
+        f.write("[]")
+    f.write(tail + "\n")
 
 
 def write_table(path, fmt: str, header: dict, columns, table) -> Path:
@@ -88,29 +130,30 @@ def write_table(path, fmt: str, header: dict, columns, table) -> Path:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    cells = [_cells(table[name], fmt) for name in columns]
+    if fmt == "csv":
+        cells = _glued_cells(table, columns, fmt, "", "\n")
+    else:
+        cells = _glued_cells(table, columns, fmt, "  [\n   ", "\n  ],\n")
     with _open(path) as f:
         if fmt == "csv":
             f.write("# " + json.dumps(_sanitize(header), sort_keys=True) + "\n")
             f.write(",".join(columns) + "\n")
-            line = ",".join(["{}"] * len(columns)) + "\n"
-            f.writelines(map(line.format, *cells))
+            f.writelines(map(",".join, zip(*cells)))
         else:
-            doc = {"header": _sanitize(header), "columns": list(columns), "rows": []}
-            text = json.dumps(doc, sort_keys=True, indent=1)
-            if len(table):
-                # "rows" sorts last, so ``text`` ends with its empty list: open it and splice the rows in.
-                f.write(text[: -len("[]\n}")] + "[\n")
-                row = "  [\n" + ",\n".join(["   {}"] * len(columns)) + "\n  ]"
-                last = [c.pop() for c in cells]
-                f.writelines(map((row + ",\n").format, *cells))
-                text = row.format(*last) + "\n ]\n}"
-            f.write(text + "\n")
+            _write_spliced(f, {"header": _sanitize(header), "columns": list(columns), "rows": []}, "rows", cells)
     return Path(path)
 
 
-def write_report(path, payload: dict) -> Path:
-    """Write a standalone JSON report document."""
+def write_report(path, payload: dict, states: np.ndarray) -> Path:
+    """Write a standalone JSON report: ``payload`` plus ``"states"``, one object per element of ``states``.
+
+    ``states`` is a numpy structured array of int, float and str fields,
+    each object keyed by its field names. The document is laid out as
+    ``json.dump(..., sort_keys=True, indent=1)`` would, with ``null`` for
+    NaN and infinities.
+    """
+    names = sorted(states.dtype.names)
+    cells = _glued_cells(states, names, "json", "  {\n   ", "\n  },\n", [json.dumps(name) + ": " for name in names])
     with _open(path) as f:
-        _dump_json(_sanitize(payload), f)
+        _write_spliced(f, {**_sanitize(payload), "states": []}, "states", cells)
     return Path(path)

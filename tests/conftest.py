@@ -17,6 +17,7 @@ from nahn import (
     resonance_frequency,
 )
 from nahn.circuit import NF
+from nahn.eigensolve import NEAR_DEGENERACY_TOL
 
 DL = GaugeVector(0.0, 0.0, 1.0)
 DR = GaugeVector(1.0, 0.0, 0.0)
@@ -43,6 +44,39 @@ def multiset_match(a, b):
         worst = max(worst, dists[i])
         b.pop(i)
     return worst
+
+
+def greedy_continuity_sort(pairs):
+    """``(bands, band_swap, near_degenerate)`` of ``sort_bands_by_continuity``, one k point at a time.
+
+    The loop the vectorized sort replaced: at each step keep the raw
+    ordering of the pair or swap it, whichever costs less total |Delta E|
+    against the previous sorted pair, and keep it on a tie.
+    """
+    E = np.asarray(pairs, dtype=complex)
+    bands = np.empty_like(E)
+    bands[0] = E[0]
+    near = []
+    for j in range(1, len(E)):
+        a, b = E[j]
+        prev = bands[j - 1]
+        cost_keep = abs(a - prev[0]) + abs(b - prev[1])
+        cost_swap = abs(b - prev[0]) + abs(a - prev[1])
+        if abs(cost_keep - cost_swap) < NEAR_DEGENERACY_TOL:
+            near.append(j)
+            bands[j] = (a, b)
+        elif cost_keep <= cost_swap:
+            bands[j] = (a, b)
+        else:
+            bands[j] = (b, a)
+    cost_keep = abs(bands[0, 0] - bands[-1, 0]) + abs(bands[0, 1] - bands[-1, 1])
+    cost_swap = abs(bands[0, 1] - bands[-1, 0]) + abs(bands[0, 0] - bands[-1, 1])
+    if abs(cost_keep - cost_swap) < NEAR_DEGENERACY_TOL:
+        near.append(0)
+        swap = False
+    else:
+        swap = cost_swap < cost_keep
+    return bands.T.copy(), bool(swap), near
 
 
 def random_unit_vector(rng):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import nahn
-from nahn.cli import main
+from nahn import cli
+from nahn.cli import REPORT_COLUMNS, main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.output import _sanitize, write_table
+from nahn.output import _sanitize, write_report, write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -255,6 +256,58 @@ class TestWriteTableMatchesRowWriter:
             rows = list(zip(*(columns[name].tolist() for name in chosen)))
             _row_writer(tmp_path / f"old.{fmt}", fmt, header, chosen, rows)
             assert new == (tmp_path / f"old.{fmt}").read_bytes()
+
+    @pytest.mark.parametrize("n_states", [0, 1, 7])
+    def test_report_bytes_equal(self, tmp_path, n_states):
+        columns = _random_table(np.random.default_rng(n_states), n_states)
+        values = {
+            "state_index": np.arange(n_states),
+            "re_E": columns["repeated"],
+            "im_E": columns["fresh"],
+            "class": np.array(["Left", "Right", "Extended"])[np.arange(n_states) % 3],
+            "w_left": columns["zeros"],
+            "w_right": np.resize([0.25, np.nan, np.inf, -np.inf, 1e-320], n_states),
+        }
+        states = np.rec.fromarrays([values[name] for name in REPORT_COLUMNS], names=REPORT_COLUMNS)
+        # a header key named "states" must not be mistaken for the report's
+        payload = {
+            "header": {"gamma": float("nan"), "n": np.int64(n_states), "states": []},
+            "gamma": float("inf"),
+            "bipolar": np.bool_(True),
+            "counts": {"Left": 3, "Right": 2, "Extended": 2},
+        }
+        new = write_report(tmp_path / "new.json", payload, states).read_bytes()
+        # the report before its states arrived as a structured array: one dict per state
+        old = {**payload, "states": [dict(zip(REPORT_COLUMNS, row)) for row in states.tolist()]}
+        with open(tmp_path / "old.json", "w", newline="\n") as f:
+            json.dump(_sanitize(old), f, sort_keys=True, indent=1)
+            f.write("\n")
+        assert new == (tmp_path / "old.json").read_bytes()
+
+
+class TestParserReuse:
+    def test_no_flag_leaks_between_calls(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, (RECIPES / "fig4abc.cfg").read_text() + "noise_sigma = 0.01\n")
+        runs = {
+            "flags": ["measure", "--config", str(cfg), "--zero-r0", "--seed", "3", "--format", "json"],
+            "plain": ["measure", "--config", str(cfg)],
+        }
+
+        def outputs(tag):
+            written = {}
+            for name, argv in runs.items():
+                out = tmp_path / tag / name / ("out.json" if "json" in argv else "out.csv")
+                assert main([*argv, "--out", str(out)]) == 0
+                written[name] = {p.name: p.read_bytes() for p in sorted(out.parent.iterdir())}
+            return written
+
+        shared = outputs("shared")
+        assert cli.build_parser() is cli.build_parser()
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)  # a new parser per call
+        assert shared == outputs("fresh")
+        seeds = [json.loads(shared["flags"]["out.states.json"])["header"]["noise"]["seed"],
+                 json.loads(shared["plain"]["out.states.csv"].splitlines()[0][2:])["noise"]["seed"]]
+        assert seeds == [3, 0]
 
 
 class TestSpectrumCommand:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import DL, densities, multiset_match, params, random_unit_vector
+from conftest import DL, densities, greedy_continuity_sort, multiset_match, params, random_unit_vector
 from nahn import (
     BoundaryCondition,
     CircuitParams,
@@ -287,6 +287,29 @@ class TestBandSorting:
         traj = sort_bands_by_continuity(ks, pairs)
         assert not traj.band_swap
         assert len(traj.near_degenerate) == n
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_matches_greedy_loop(self, n):
+        rng = np.random.default_rng(n)
+        ks = 2 * np.pi * np.arange(n) / n
+        for trial in range(40):
+            p = params(*rng.uniform(-3.0, 3.0, 3), dL=random_unit_vector(rng), dR=random_unit_vector(rng))
+            pairs = np.column_stack(analytic_eigenvalues(p, ks))
+            pairs = np.where(rng.random((n, 1)) < 0.5, pairs[:, ::-1], pairs)  # scrambled raw order
+            if trial % 4 == 1:  # degenerate pairs: the two costs tie exactly
+                rows = rng.choice(n, n // 4)
+                pairs[rows, 1] = pairs[rows, 0]
+            if trial % 4 == 2:  # costs within NEAR_DEGENERACY_TOL of each other
+                pairs[:, 1] = pairs[:, 0] + rng.choice([0.0, 1e-14, 1e-11], (n,))
+            if trial % 4 == 3:  # both costs overflow to inf
+                rows = rng.choice(n, n // 8)
+                pairs[rows] = rng.choice([-1.0, 1.0], (len(rows), 1)) * np.array([1.0e308, 0.9e308])
+            with np.errstate(over="ignore", invalid="ignore"):
+                traj = sort_bands_by_continuity(ks, pairs)
+                bands, band_swap, near = greedy_continuity_sort(pairs)
+            assert traj.bands.tobytes() == bands.tobytes()  # bit for bit
+            assert traj.band_swap is band_swap
+            assert traj.near_degenerate == near
 
     def test_grid_validation(self):
         with pytest.raises(ValidationError):
