@@ -72,12 +72,14 @@ def _open_chain(cfg: RunConfig, eigenvectors: bool) -> tuple[int, Spectrum, floa
     return N, chain_eig(*blocks, N, eigenvectors=eigenvectors), drive
 
 
-BAND_COLUMNS = ["k", "band", "re_E", "im_E"]
-EIGENVALUE_COLUMNS = ["index", "re_E", "im_E"]
-RAW_COLUMNS = ["re_j_S", "im_j_S"]
-STATE_COLUMNS = ["state_index", "re_E", "im_E", "site", "density"]
-PHASE_COLUMNS = ["tL", "tR", "nu", "gamma", "boundary_residual"]
-REPORT_COLUMNS = ["state_index", "re_E", "im_E", "class", "w_left", "w_right"]
+def _table(**columns) -> np.recarray:
+    """The structured array with one field per keyword, named by it, in keyword order."""
+    return np.rec.fromarrays(list(columns.values()), names=list(columns))
+
+
+def _in_nF(admittance, drive: float):
+    """Admittance (siemens) at angular frequency ``drive`` shown in nF, through 1/(i omega NF)."""
+    return admittance * (1.0 / (1j * drive * cct.NF))
 
 
 def _canonical_order(values: np.ndarray) -> np.ndarray:
@@ -101,17 +103,17 @@ def _write_bands(out: Path, fmt: str, eff: dict, grid, pairs, raw_scale=None, **
     traj = sort_bands_by_continuity(grid.values, pairs)
     header = build_header(eff, kpoints=grid.n_points, band_swap=traj.band_swap, **extra)
     e = traj.bands.T.ravel()
-    columns = [np.repeat(grid.values, 2), np.tile([0, 1], grid.n_points), e.real, e.imag]
+    siemens = {}
     if raw_scale is not None:
         raw = e * raw_scale
-        columns += [raw.real, raw.imag]
-    names = BAND_COLUMNS if raw_scale is None else BAND_COLUMNS + RAW_COLUMNS
-    write_table(out, fmt, header, names, np.rec.fromarrays(columns, names=names))
+        siemens = {"re_j_S": raw.real, "im_j_S": raw.imag}
+    rows = _table(k=np.repeat(grid.values, 2), band=np.tile([0, 1], grid.n_points), re_E=e.real, im_E=e.imag, **siemens)
+    write_table(out, fmt, header, rows=rows)
 
 
 def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extra) -> None:
     """Band table of admittance loci (siemens), shown in nF through 1/(i omega NF)."""
-    pairs = eigvals2x2(loci * (1.0 / (1j * drive * cct.NF)))
+    pairs = eigvals2x2(_in_nF(loci, drive))
     _write_bands(
         out, fmt, eff, grid, pairs, 1j * drive * cct.NF,
         omega_rad_s=drive, eigenvalue_units="nF", tolerances={"det_zero": topo.DET_ZERO_TOL},
@@ -119,15 +121,16 @@ def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extr
     )
 
 
-def _write_eigenvalues(out: Path, fmt: str, header: dict, shown: np.ndarray, raw: np.ndarray | None = None) -> None:
-    """Write (index, re_E, im_E[, re_j_S, im_j_S]) in canonical order of ``shown``."""
+def _write_eigenvalues(out: Path, fmt: str, header: dict, raw: np.ndarray, drive: float | None) -> None:
+    """Write (index, re_E, im_E) in canonical order; with a circuit's ``drive``, ``raw`` (siemens) shown in nF.
+
+    A circuit's rows also carry ``raw`` as (re_j_S, im_j_S).
+    """
+    shown = raw if drive is None else _in_nF(raw, drive)
     order = _canonical_order(shown)
-    columns = [np.arange(len(order)), shown[order].real, shown[order].imag]
-    names = EIGENVALUE_COLUMNS
-    if raw is not None:
-        columns += [raw[order].real, raw[order].imag]
-        names = EIGENVALUE_COLUMNS + RAW_COLUMNS
-    write_table(out, fmt, header, names, np.rec.fromarrays(columns, names=names))
+    siemens = {} if drive is None else {"re_j_S": raw[order].real, "im_j_S": raw[order].imag}
+    rows = _table(index=np.arange(len(order)), re_E=shown[order].real, im_E=shown[order].imag, **siemens)
+    write_table(out, fmt, header, rows=rows)
 
 
 def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -135,13 +138,9 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
     grid = topo.KGrid(cfg.kpoints)
     if cfg.boundary is BoundaryCondition.OBC:
         N, spec, drive = _open_chain(cfg, eigenvectors=False)
-        raw = spec.eigenvalues
-        if drive is None:
-            header = build_header(eff, chain_N=N, solver=spec.solver)
-            _write_eigenvalues(out, fmt, header, raw)
-        else:
-            header = build_header(eff, chain_N=N, omega_rad_s=drive, eigenvalue_units="nF", solver=spec.solver)
-            _write_eigenvalues(out, fmt, header, raw * (1.0 / (1j * drive * cct.NF)), raw)
+        units = {} if drive is None else {"omega_rad_s": drive, "eigenvalue_units": "nF"}
+        header = build_header(eff, chain_N=N, solver=spec.solver, **units)
+        _write_eigenvalues(out, fmt, header, spec.eigenvalues, drive)
     elif cfg.model is not None:
         nu = _nu(topo.braiding_degree, cfg.model)  # first: it rejects amplitudes that overflow the bands
         e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
@@ -178,13 +177,13 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         threads=cfg.threads,
         progress=progress,
     )
-    columns = [
-        np.repeat(diagram.tL_axis, len(diagram.tR_axis)),
-        np.tile(diagram.tR_axis, len(diagram.tL_axis)),
-        diagram.nu.ravel(),
-        diagram.gamma.ravel(),
-        diagram.boundary_residual.ravel(),
-    ]
+    rows = _table(
+        tL=np.repeat(diagram.tL_axis, len(diagram.tR_axis)),
+        tR=np.tile(diagram.tR_axis, len(diagram.tL_axis)),
+        nu=diagram.nu.ravel(),
+        gamma=diagram.gamma.ravel(),
+        boundary_residual=diagram.boundary_residual.ravel(),
+    )
     header = build_header(
         eff,
         resolution=cfg.resolution,
@@ -192,49 +191,44 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
         nu_sentinel=topo.NU_SENTINEL,
         tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
     )
-    write_table(out, fmt, header, PHASE_COLUMNS, np.rec.fromarrays(columns, names=PHASE_COLUMNS))
+    write_table(out, fmt, header, rows=rows)
 
 
 def _states_table(densities: np.ndarray, eigenvalues: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Table (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1."""
     n_sites = densities.shape[1]
     e = np.repeat(eigenvalues[order], n_sites)
-    columns = [
-        np.repeat(np.arange(len(order)), n_sites),
-        e.real,
-        e.imag,
-        np.tile(np.arange(1, n_sites + 1), len(order)),
-        densities[order].ravel(),
-    ]
-    return np.rec.fromarrays(columns, names=STATE_COLUMNS)
+    return _table(
+        state_index=np.repeat(np.arange(len(order)), n_sites),
+        re_E=e.real,
+        im_E=e.imag,
+        site=np.tile(np.arange(1, n_sites + 1), len(order)),
+        density=densities[order].ravel(),
+    )
 
 
 def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
     N, spec, drive = _open_chain(cfg, eigenvectors=True)
     eff = _effective(cfg, "skin")
-    if drive is None:
-        shown, units = spec.eigenvalues, "dimensionless"
-    else:
-        shown, units = spec.eigenvalues / (1j * drive * cct.NF), "nF"
+    shown = spec.eigenvalues if drive is None else _in_nF(spec.eigenvalues, drive)
     densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
     report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
     order = _canonical_order(shown)
     header = build_header(
         eff,
         chain_N=N,
-        eigenvalue_units=units,
+        eigenvalue_units="dimensionless" if drive is None else "nF",
         gamma=report.gamma,
         bipolar=report.bipolar,
         window_fraction=cfg.window_fraction,
         loc_threshold=cfg.loc_threshold,
         solver=spec.solver,
     )
-    write_table(out, fmt, header, STATE_COLUMNS, _states_table(densities, shown, order))
+    write_table(out, fmt, header, rows=_states_table(densities, shown, order))
     payload = {"header": header, "gamma": report.gamma, "bipolar": report.bipolar, "counts": report.counts()}
-    states = np.rec.fromarrays(
-        [np.arange(len(order)), shown[order].real, shown[order].imag,
-         np.asarray(report.classes)[order], report.w_left[order], report.w_right[order]],
-        names=REPORT_COLUMNS,
+    states = _table(
+        state_index=np.arange(len(order)), re_E=shown[order].real, im_E=shown[order].imag,
+        **{"class": report.classes[order]}, w_left=report.w_left[order], w_right=report.w_right[order],
     )
     write_report(out.with_name(f"{out.stem}.report.json"), payload, states)
 
@@ -260,7 +254,7 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     }
     spec = eig_dense(J_rec)
     densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
-    shown = spec.eigenvalues * (1.0 / (1j * drive * cct.NF))
+    shown = _in_nF(spec.eigenvalues, drive)
     protocol = cct.PROTOCOLS[cfg.boundary]
     meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol, "eigenvalue_units": "nF"}
     if cfg.boundary is BoundaryCondition.PBC:
@@ -271,9 +265,9 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     else:
         report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
         header = build_header(eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
-        _write_eigenvalues(out, fmt, header, shown, spec.eigenvalues)
-    table = _states_table(densities, shown, _canonical_order(shown))
-    write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, STATE_COLUMNS, table)
+        _write_eigenvalues(out, fmt, header, spec.eigenvalues, drive)
+    rows = _states_table(densities, shown, _canonical_order(shown))
+    write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, rows=rows)
 
 
 COMMANDS = {

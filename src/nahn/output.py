@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import config_hash
+from .errors import ValidationError
 
 
 def build_header(effective_cfg: dict, **extra) -> dict:
@@ -50,10 +51,13 @@ def _sanitize(obj):
 
 
 def _open(path):
-    """``path`` opened for writing with ``\n`` line ends, its directory created."""
+    """``path`` opened for writing with ``\n`` line ends, its directory created; a ``ValidationError`` if it cannot be."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path.open("w", newline="\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", newline="\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write output file {path}: {exc}") from exc
 
 
 def _cells(column: np.ndarray, fmt: str, before: str = "", after: str = "") -> list:
@@ -117,12 +121,12 @@ def _write_spliced(f, doc: dict, key: str, cells: list) -> None:
     f.write(tail + "\n")
 
 
-def write_table(path, fmt: str, header: dict, columns, table) -> Path:
+def write_table(path, fmt: str, header: dict, rows: np.ndarray) -> Path:
     """Write a rectangular table with a provenance header.
 
-    ``table`` is a numpy structured array of int and float fields; the file
-    holds the fields named in ``columns``, in that order, one row per
-    element. CSV files carry the header as one ``#``-prefixed JSON comment
+    ``rows`` is a numpy structured array of int and float fields; the file
+    holds every field, in order and under its name, one row per element.
+    CSV files carry the header as one ``#``-prefixed JSON comment
     line followed by the column line, and write NaN and infinities as
     ``nan``/``inf``; JSON files hold ``{"header": ..., "columns": ...,
     "rows": ...}`` laid out as ``json.dump(..., sort_keys=True, indent=1)``
@@ -130,10 +134,11 @@ def write_table(path, fmt: str, header: dict, columns, table) -> Path:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
+    columns = rows.dtype.names
     if fmt == "csv":
-        cells = _glued_cells(table, columns, fmt, "", "\n")
+        cells = _glued_cells(rows, columns, fmt, "", "\n")
     else:
-        cells = _glued_cells(table, columns, fmt, "  [\n   ", "\n  ],\n")
+        cells = _glued_cells(rows, columns, fmt, "  [\n   ", "\n  ],\n")
     with _open(path) as f:
         if fmt == "csv":
             f.write("# " + json.dumps(_sanitize(header), sort_keys=True) + "\n")

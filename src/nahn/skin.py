@@ -25,14 +25,14 @@ BIPOLAR_STATE_FRACTION = 0.1
 class LocalizationReport:
     """Per-state localization classes plus the chain-level summary."""
 
-    classes: list
+    classes: np.ndarray
     w_left: np.ndarray
     w_right: np.ndarray
     gamma: float
     bipolar: bool
 
     def counts(self) -> dict:
-        return {c: self.classes.count(c) for c in ("Left", "Right", "Extended")}
+        return {c: np.count_nonzero(self.classes == c) for c in ("Left", "Right", "Extended")}
 
 
 def densities_from_eigenvectors(V: np.ndarray) -> np.ndarray:
@@ -101,14 +101,10 @@ def classify_localization(
     w = _window(densities, boundary_fraction)
     w_left = densities[:, :w].sum(axis=1)
     w_right = densities[:, -w:].sum(axis=1)
-    classes = [
-        "Left" if wl > threshold else "Right" if wr > threshold else "Extended"
-        for wl, wr in zip(w_left, w_right)
-    ]
-    n_states = len(classes)
+    classes = np.where(w_left > threshold, "Left", np.where(w_right > threshold, "Right", "Extended"))
     bipolar = (
-        classes.count("Left") >= BIPOLAR_STATE_FRACTION * n_states
-        and classes.count("Right") >= BIPOLAR_STATE_FRACTION * n_states
+        np.count_nonzero(classes == "Left") >= BIPOLAR_STATE_FRACTION * len(classes)
+        and np.count_nonzero(classes == "Right") >= BIPOLAR_STATE_FRACTION * len(classes)
     )
     return LocalizationReport(
         classes=classes,

@@ -13,13 +13,16 @@ import pytest
 
 import nahn
 from nahn import cli
-from nahn.cli import REPORT_COLUMNS, main
+from nahn.circuit import NF
+from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
 from nahn.eigensolve import _openblas_thread_controls
 from nahn.output import _sanitize, write_report, write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
+
+REPORT_COLUMNS = ["state_index", "re_E", "im_E", "class", "w_left", "w_right"]
 
 
 def read_csv(path):
@@ -164,13 +167,13 @@ class TestWriteTable:
     )
 
     def test_csv_writes_nan_inf_and_signed_zero(self, tmp_path):
-        path = write_table(tmp_path / "new" / "t.csv", "csv", self.HEADER, ["i", "x", "y"], self.TABLE)
+        path = write_table(tmp_path / "new" / "t.csv", "csv", self.HEADER, rows=self.TABLE)
         assert path.read_text() == (
             '# {"gamma": null, "n": 3}\ni,x,y\n0,1.5,nan\n1,-0,inf\n2,0.10000000000000001,-inf\n'
         )
 
     def test_json_writes_null_for_non_finite(self, tmp_path):
-        path = write_table(tmp_path / "new" / "t.json", "json", self.HEADER, ["i", "x", "y"], self.TABLE)
+        path = write_table(tmp_path / "new" / "t.json", "json", self.HEADER, rows=self.TABLE)
         assert path.read_text().split("\n") == [
             "{", ' "columns": [', '  "i",', '  "x",', '  "y"', " ],",
             ' "header": {', '  "gamma": null,', '  "n": 3', " },",
@@ -183,7 +186,7 @@ class TestWriteTable:
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown output format"):
-            write_table(tmp_path / "t.txt", "txt", {}, ["i"], [(0,)])
+            write_table(tmp_path / "t.txt", "txt", {}, rows=self.TABLE)
         assert not (tmp_path / "t.txt").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -194,12 +197,13 @@ class TestWriteTable:
         ("phase-diagram", MODEL_CFG + "t_min = 0.0\nt_max = 4.0\nresolution = 8\nchain_N = 10\n"),
     ], ids=["bands", "eigenvalues", "states", "phase"])
     def test_table_length_is_data_row_count(self, tmp_path, monkeypatch, command, text, fmt):
-        # bench/tracing.py counts a table's rows as len() of write_table's 5th argument
+        # bench/tracing.py counts a table's rows as len(kwargs["rows"]) and counts 0
+        # when no such keyword is given, so a positional table fails this spy
         lengths = {}
 
-        def spy(path, *args):
-            lengths[Path(path)] = len(args[3])
-            return write_table(path, *args)
+        def spy(path, fmt, header, **kwargs):
+            lengths[Path(path)] = len(kwargs["rows"])
+            return write_table(path, fmt, header, **kwargs)
 
         monkeypatch.setattr("nahn.cli.write_table", spy)
         cfg = write_cfg(tmp_path, text)
@@ -252,7 +256,7 @@ class TestWriteTableMatchesRowWriter:
         header = {"gamma": float("nan"), "n": np.int64(n_rows), "rows": []}
         table = np.rec.fromarrays(list(columns.values()), names=names)
         for chosen in (names, names[::-1][:3], names[2:3]):
-            new = write_table(tmp_path / f"new.{fmt}", fmt, header, chosen, table).read_bytes()
+            new = write_table(tmp_path / f"new.{fmt}", fmt, header, rows=table[chosen]).read_bytes()
             rows = list(zip(*(columns[name].tolist() for name in chosen)))
             _row_writer(tmp_path / f"old.{fmt}", fmt, header, chosen, rows)
             assert new == (tmp_path / f"old.{fmt}").read_bytes()
@@ -591,6 +595,35 @@ class TestOutOfRangeAmplitudes:
         assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: amplitudes too ")
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, text", [("spectrum", MODEL_CFG), ("skin", OPEN_CFG)], ids=["spectrum", "skin"])
+    @pytest.mark.parametrize("where", ["directory", "under-file"])
+    def test_config_error(self, tmp_path, command, text, where, capsys):
+        regular = tmp_path / "file"
+        regular.write_text("")
+        out = tmp_path if where == "directory" else regular / "x.csv"
+        assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot write output file ")
+
+
+class TestNanofaradConversion:
+    # drives up to 1/NF rad/s, where the factor 1/(drive NF) is at least 1; above
+    # it a part that underflows to zero can take the other sign of zero
+    @pytest.mark.parametrize("drive", [2 * np.pi * 1e4, 1e5, 3.7e5, 1.234567e6, 8.9e8])
+    def test_equals_division_bit_for_bit(self, drive):
+        # skin once divided by 1j * drive * NF; the golden hashes that would see a
+        # changed last digit skip on other numpy/BLAS builds, so this holds it there
+        rng = np.random.default_rng(int(drive))
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0])
+        pool = np.concatenate([special, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)])
+        # parts set one by one: re + 1j * im would turn an imaginary -0.0 into +0.0
+        z = np.empty(len(special) ** 2 + 20000, complex)
+        z.real = np.concatenate([np.repeat(special, len(special)), rng.choice(pool, 20000)])
+        z.imag = np.concatenate([np.tile(special, len(special)), rng.choice(pool, 20000)])
+        expected = z / (1j * drive * NF)
+        assert np.array_equal(cli._in_nF(z, drive).view(np.int64), expected.view(np.int64))
 
 
 class TestDeterminismAndEntryPoint:
