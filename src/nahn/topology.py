@@ -116,38 +116,119 @@ def _quartic(p: ModelParams) -> np.ndarray:
     ])
 
 
-def _root_radii(coeffs: np.ndarray) -> np.ndarray:
-    """``|z|`` of the roots of a polynomial, coefficients highest power first.
+#: Radii of a quartic's roots before the companion solve, by its count of leading
+#: zero coefficients: np.roots's zero root for each trailing zero coefficient, and
+#: ``inf`` for each root that a zero leading coefficient sends to infinity.
+_TRIMMED_RADII = np.where(np.arange(4) < np.arange(4, -1, -1)[:, None], 0.0, np.inf)
 
-    Raises ``ValidationError`` when the coefficients are not finite (an
-    amplitude near ``1e154`` or above squares to ``inf``) or ``np.roots``
-    cannot form a finite companion matrix (a leading coefficient so small
-    against the others that their ratio overflows).
+
+def _root_radii(rows: np.ndarray) -> np.ndarray:
+    """``|z|`` of the roots of each quartic row (coefficients highest power first), shape ``(m, 4)``.
+
+    Row ``i`` holds ``np.abs(np.roots(rows[i]))`` bit for bit, with its
+    trimming of leading and trailing zero coefficients, then ``inf`` for
+    each root that a zero leading coefficient sends to infinity. The
+    companion matrices of all rows with the same zero trimming go to LAPACK
+    in one stacked ``np.linalg.eigvals`` call. A row that cannot be solved
+    reads NaN: one that vanishes identically, whose coefficients are not
+    finite (an amplitude near ``1e154`` or above squares to ``inf``) or
+    whose companion matrix is not (a leading coefficient so small against
+    the others that their ratio overflows), or whose eigenvalues do not
+    converge.
     """
+    nonzero = rows != 0
+    lead = nonzero.argmax(axis=1)
+    stop = 5 - nonzero[:, ::-1].argmax(axis=1)
+    radii = _TRIMMED_RADII[lead]
+    unsolved = ~np.isfinite(rows).all(axis=1)
+    groups = set(zip(lead.tolist(), stop.tolist()))
+    for a, b in groups:
+        at = slice(None) if len(groups) == 1 else (lead == a) & (stop == b)
+        d = b - a - 1
+        if d == 0:
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio leaves its row unsolved
+            ratios = -rows[at, a + 1:b] / rows[at, a:a + 1]
+        A = np.zeros((len(ratios), d, d), dtype=rows.dtype)
+        A[:, 0] = ratios
+        A.reshape(len(A), d * d)[:, d::d + 1] = 1.0
+        bad = ~np.isfinite(ratios).all(axis=1)
+        if bad.any():
+            A[bad] = 0.0  # solved as zero roots, then marked unsolved
+            unsolved[at] |= bad
+        radii[at, :d] = np.abs(_eigvals(A))
+    radii[unsolved] = np.nan
+    return radii
+
+
+def _eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a stack of matrices; NaN for each matrix whose eigenvalues do not converge."""
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError:  # one failure fails the whole stack
+        out = np.full(A.shape[:2], np.nan, dtype=complex)
+        for j, a in enumerate(A):
+            try:
+                out[j] = np.linalg.eigvals(a)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _require_finite(coeffs: np.ndarray) -> None:
     if not np.all(np.isfinite(coeffs)):
         raise ValidationError(f"amplitudes too large: polynomial coefficients {coeffs.tolist()} are not finite")
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow here ends in LinAlgError
-            return np.abs(np.roots(coeffs))
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(
-            f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}"
-        ) from exc
 
 
-def _zeros_inside(coeffs: np.ndarray, error: type, what: str) -> int:
-    """Roots inside ``|z| < 1`` minus 2: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
+def _require_solved(coeffs: np.ndarray, radii: np.ndarray) -> None:
+    """Raise ``ValidationError`` when :func:`_root_radii` could not solve the row ``coeffs``."""
+    if np.isnan(radii[0]):
+        _require_finite(coeffs)
+        raise ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}")
 
-    Raises ``error`` when a root lies within ``ROOT_CIRCLE_TOL`` of the unit
-    circle or the polynomial vanishes identically, since the determinant
-    then vanishes on the loop.
+
+def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
+    """Roots inside ``|z| < 1`` minus 2 of each row: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
+
+    Rows are checked in order, and the first that cannot be counted raises,
+    as a loop over the rows would: ``error`` when its polynomial vanishes
+    identically or has a root within ``ROOT_CIRCLE_TOL`` of the unit circle
+    (the determinant then vanishes on the loop), ``ValidationError`` when its
+    roots cannot be found. ``what(i)`` names row ``i`` in the message.
     """
-    if not np.any(coeffs):
-        raise error(f"{what}: determinant vanishes identically")
-    radii = _root_radii(coeffs)
-    if np.any(np.abs(radii - 1.0) < ROOT_CIRCLE_TOL):
-        raise error(f"{what}: determinant vanishes on the momentum loop (root on |z| = 1)")
-    return int(np.sum(radii < 1.0)) - 2
+    radii = _root_radii(rows)
+    counted = np.all(np.abs(radii - 1.0) >= ROOT_CIRCLE_TOL, axis=1)  # False for NaN radii
+    if not counted.all():
+        i = counted.argmin()
+        if not rows[i].any():
+            raise error(f"{what(i)}: determinant vanishes identically")
+        _require_solved(rows[i], radii[i])
+        raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
+    return np.count_nonzero(radii < 1.0, axis=1) - 2
+
+
+def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
+    """Point-gap windings around each reference energy of the complex array ``E0``, by one root count.
+
+    Row ``i`` is ``P(z) - E0[i]^2 z^2``. The energies are checked in order,
+    and the first that cannot be counted raises what
+    :func:`spectral_winding` raises for it; one that is not finite, or whose
+    square overflows, raises ``ValidationError``.
+    """
+    square = np.empty_like(E0)
+    rows = np.empty((len(E0), 5), dtype=complex)
+    rows[:] = _quartic(p)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        # Python's complex(E0) ** 2 bit for bit, which numpy's complex product is not
+        square.real = E0.real * E0.real - E0.imag * E0.imag
+        square.imag = 2.0 * (E0.real * E0.imag)
+        rows[:, 2] -= square
+    finite = np.isfinite(square)
+    n = len(E0) if finite.all() else finite.argmin()
+    w = _zeros_inside(rows[:n], ReferenceOnSpectrumError, lambda i: f"spectral winding at {complex(E0[i])}")
+    if n < len(E0):
+        raise ValidationError(f"reference energy E0 = {complex(E0[n])} is not finite or its square overflows")
+    return w
 
 
 def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
@@ -157,7 +238,7 @@ def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
     working. A determinant zero on the loop signals a phase boundary and
     raises ``PhaseBoundaryError``.
     """
-    return _zeros_inside(_quartic(p), PhaseBoundaryError, "braiding degree")
+    return int(_zeros_inside(_quartic(p)[None], PhaseBoundaryError, lambda i: "braiding degree")[0])
 
 
 def spectral_winding(p: ModelParams, E0: complex, grid: KGrid | None = None) -> int:
@@ -165,11 +246,10 @@ def spectral_winding(p: ModelParams, E0: complex, grid: KGrid | None = None) -> 
 
     ``grid`` is unused; it is accepted so that callers passing one keep
     working. A reference energy on the spectrum raises
-    ``ReferenceOnSpectrumError``.
+    ``ReferenceOnSpectrumError``; one that is not finite, or whose square
+    overflows, raises ``ValidationError``.
     """
-    coeffs = _quartic(p).astype(complex)
-    coeffs[2] -= complex(E0) ** 2
-    return _zeros_inside(coeffs, ReferenceOnSpectrumError, f"spectral winding at {E0}")
+    return int(_windings(p, np.array([E0], dtype=complex))[0])
 
 
 def spectral_winding_profile(
@@ -185,27 +265,55 @@ def spectral_winding_profile(
     The grid spans the bounding box of the Bloch spectrum inflated by
     ``pad`` (a fraction of each box dimension). Probes closer than
     ``min_distance`` to the spectral curve are skipped. Returns a list of
-    ``(E0, w)`` pairs with ``w = None`` for skipped probes.
+    ``(E0, w)`` pairs, real part major, with ``w = None`` for skipped probes.
 
-    ``grid`` samples the spectrum for the box and the skip rule; each
-    evaluated probe's ``w`` comes from :func:`spectral_winding`.
+    ``grid`` samples the spectrum for the box and the skip rule. The skip
+    rule is unchanged: a probe is skipped when its nearest sample is closer
+    than ``tol = max(min_distance, SPECTRUM_DISTANCE_TOL)``. Only the samples
+    whose real part lies within ``2 tol`` of the probe's are measured, since
+    no other can be that close, so the decisions equal those of measuring
+    every sample. The windings of all evaluated probes come from one stacked
+    root count (:func:`_root_radii`) and equal :func:`spectral_winding`'s;
+    the first evaluated probe, real part major, that it rejects raises the
+    same error. Negative ``n_re`` or ``n_im``, a ``pad`` that is not finite
+    or stretches the grid past the float range, a NaN or negative
+    ``min_distance`` and a quartic or sampled spectrum that is not finite
+    raise ``ValidationError``.
     """
+    if n_re < 0 or n_im < 0:
+        raise ValidationError(f"profile needs n_re, n_im >= 0, got {n_re}, {n_im}")
+    if not np.isfinite(pad):
+        raise ValidationError(f"pad must be finite, got {pad}")
+    if not min_distance >= 0.0:
+        raise ValidationError(f"min_distance must be >= 0, got {min_distance}")
+    _require_finite(_quartic(p))
     grid = grid or KGrid()
-    e_plus, e_minus = analytic_eigenvalues(p, grid.values)
-    spectrum = np.concatenate([e_plus, e_minus])
-    re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
-    im_lo, im_hi = spectrum.imag.min(), spectrum.imag.max()
-    re_pad = pad * (re_hi - re_lo)
-    im_pad = pad * (im_hi - im_lo)
-    out = []
-    for re in np.linspace(re_lo - re_pad, re_hi + re_pad, n_re):
-        for im in np.linspace(im_lo - im_pad, im_hi + im_pad, n_im):
-            E0 = complex(re, im)
-            if np.min(np.abs(spectrum - E0)) < max(min_distance, SPECTRUM_DISTANCE_TOL):
-                out.append((E0, None))
-                continue
-            out.append((E0, spectral_winding(p, E0)))
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+        spectrum = np.concatenate(analytic_eigenvalues(p, grid.values))
+        if not np.all(np.isfinite(spectrum)):
+            raise ValidationError("amplitudes too large: the sampled Bloch spectrum is not finite")
+        re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
+        im_lo, im_hi = spectrum.imag.min(), spectrum.imag.max()
+        re_pad = pad * (re_hi - re_lo)
+        im_pad = pad * (im_hi - im_lo)
+        re_axis = np.linspace(re_lo - re_pad, re_hi + re_pad, n_re)
+        im_axis = np.linspace(im_lo - im_pad, im_hi + im_pad, n_im)
+        if not (np.all(np.isfinite(re_axis)) and np.all(np.isfinite(im_axis))):
+            raise ValidationError(f"pad {pad} stretches the probe grid beyond the float range")
+    tol = max(min_distance, SPECTRUM_DISTANCE_TOL)
+    spectrum = spectrum[np.argsort(spectrum.real)]
+    first = np.searchsorted(spectrum.real, re_axis - 2.0 * tol, side="left")
+    stop = np.searchsorted(spectrum.real, re_axis + 2.0 * tol, side="right")
+    probes = np.empty((n_re, n_im), dtype=complex)
+    probes.real = re_axis[:, None]
+    probes.imag = im_axis
+    skip = np.zeros((n_re, n_im), dtype=bool)
+    for i in np.flatnonzero(first < stop):
+        near = spectrum[first[i]:stop[i], None]
+        skip[i] = np.min(np.abs(near - probes[i]), axis=0) < tol
+    probes, skip = probes.ravel(), skip.ravel()
+    w = iter(_windings(p, probes[~skip]).tolist())
+    return [(E0, None if s else next(w)) for E0, s in zip(probes.tolist(), skip.tolist())]
 
 
 def band_resolved_winding(traj: BandTrajectories, E0: complex) -> list:
@@ -215,6 +323,8 @@ def band_resolved_winding(traj: BandTrajectories, E0: complex) -> list:
     a swap the two trajectories concatenate into a single loop of period
     4 pi. The loop windings sum to the determinant-based spectral winding.
     """
+    if not np.isfinite(E0):
+        raise ValidationError(f"reference energy E0 = {E0} is not finite")
     bands = np.asarray(traj.bands, dtype=complex)
     if traj.band_swap:
         loops = [np.concatenate([bands[0], bands[1]])]
@@ -243,7 +353,10 @@ def _boundary_residual(p: ModelParams) -> float:
     and ``t0`` the residual is positive exactly where ``nu = 0`` (two roots
     inside ``|z| < 1``) and changes sign wherever a root crosses the circle.
     """
-    r = np.sort(_root_radii(_quartic(p)))
+    coeffs = _quartic(p)
+    radii = _root_radii(coeffs[None])[0]
+    _require_solved(coeffs, radii)
+    r = np.sort(radii)
     return float(-(r[1] - 1.0) * (r[2] - 1.0))
 
 
@@ -307,8 +420,9 @@ def compute_phase_diagram(
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
-    # smaller hoppings square to subnormals, which _root_radii rejects, or to
-    # 0, which drops roots of P that _boundary_residual indexes
+    # smaller hoppings square to subnormals, whose companion ratios overflow
+    # (_root_radii leaves the row unsolved), or to 0, which sends roots of P
+    # to infinity, where _boundary_residual's middle pair must not lie
     floor = np.sqrt(np.finfo(float).tiny)
     if axis[0] < floor:
         raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")

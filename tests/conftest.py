@@ -8,16 +8,20 @@ import pytest
 from nahn import (
     CircuitParams,
     GaugeVector,
+    KGrid,
     ModelParams,
     PhaseBoundaryError,
+    analytic_eigenvalues,
     classify_localization,
     densities_from_eigenvectors,
     m_coefficients,
     obc_eigenstates,
     resonance_frequency,
+    spectral_winding,
 )
 from nahn.circuit import NF
 from nahn.eigensolve import NEAR_DEGENERACY_TOL
+from nahn.topology import SPECTRUM_DISTANCE_TOL
 
 DL = GaugeVector(0.0, 0.0, 1.0)
 DR = GaugeVector(1.0, 0.0, 0.0)
@@ -77,6 +81,33 @@ def greedy_continuity_sort(pairs):
     else:
         swap = cost_swap < cost_keep
     return bands.T.copy(), bool(swap), near
+
+
+def winding_profile_loop(p, n_re=20, n_im=20, pad=0.0, grid=None, min_distance=1e-6):
+    """``spectral_winding_profile``, one probe at a time.
+
+    The loop the stacked root count replaced: real part major, a probe
+    closer than ``max(min_distance, SPECTRUM_DISTANCE_TOL)`` to a spectrum
+    sample is skipped, measured against every sample, and every other probe
+    gets its own :func:`spectral_winding` call, so the first probe that
+    call rejects raises.
+    """
+    grid = grid or KGrid()
+    e_plus, e_minus = analytic_eigenvalues(p, grid.values)
+    spectrum = np.concatenate([e_plus, e_minus])
+    re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
+    im_lo, im_hi = spectrum.imag.min(), spectrum.imag.max()
+    re_pad = pad * (re_hi - re_lo)
+    im_pad = pad * (im_hi - im_lo)
+    out = []
+    for re in np.linspace(re_lo - re_pad, re_hi + re_pad, n_re):
+        for im in np.linspace(im_lo - im_pad, im_hi + im_pad, n_im):
+            E0 = complex(re, im)
+            if np.min(np.abs(spectrum - E0)) < max(min_distance, SPECTRUM_DISTANCE_TOL):
+                out.append((E0, None))
+                continue
+            out.append((E0, spectral_winding(p, E0)))
+    return out
 
 
 def random_unit_vector(rng):

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import DR, params, phase_boundary_residual, random_unit_vector
+from conftest import DR, params, phase_boundary_residual, random_unit_vector, winding_profile_loop
 from nahn import (
     GaugeVector,
     KGrid,
@@ -27,7 +27,7 @@ from nahn import (
 )
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.topology import NU_SENTINEL, _boundary_residual
+from nahn.topology import NU_SENTINEL, _boundary_residual, _root_radii, _zeros_inside
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -115,9 +115,10 @@ class TestBraidingDegree:
 
     @pytest.mark.parametrize("t0, tL", [(1.0, 1e160), (1.0, 1e-160), (1e10, 1e-150)])
     def test_out_of_range_amplitudes_rejected(self, t0, tL):
-        # the quartic's coefficients overflow, or np.roots's companion matrix does
+        # the quartic's coefficients overflow, or the companion matrix does
         p = params(t0, tL, 3.0)
-        for count in (lambda: braiding_degree(p), lambda: spectral_winding(p, 0.5j), lambda: _boundary_residual(p)):
+        for count in (lambda: braiding_degree(p), lambda: spectral_winding(p, 0.5j), lambda: _boundary_residual(p),
+                      lambda: spectral_winding_profile(p, 3, 3)):
             with pytest.raises(ValidationError, match="amplitudes too"):
                 count()
 
@@ -190,6 +191,11 @@ class TestSpectralWinding:
                 evaluated += 1
         assert evaluated > 10000
 
+    @pytest.mark.parametrize("E0", [np.nan, np.inf, complex(0.0, -np.inf), 1e200, complex(1e155, 1e155)])
+    def test_non_finite_or_overflowing_reference_rejected(self, p3, E0):
+        with pytest.raises(ValidationError, match="E0"):
+            spectral_winding(p3, E0)
+
     def test_direction_reversal_negates(self, p3):
         E0 = -2.0 + 0.0j
         H = bloch_hamiltonian(p3, KGrid(512).values) - E0 * np.eye(2)
@@ -197,6 +203,130 @@ class TestSpectralWinding:
         w = round(winding_number(det))
         assert round(winding_number(det[::-1])) == -w
         assert spectral_winding(p3, E0) == w
+
+
+def outcome(call):
+    """``repr`` of what ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+class TestStackedRootRadii:
+    def test_bit_equal_to_np_roots(self):
+        # one stack mixes every zero trimming; each row must still match its own np.roots
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((3000, 5)) * 10.0 ** rng.uniform(-3, 3, (3000, 5))
+        rows[rng.random(rows.shape) < 0.15] = 0.0
+        rows = np.vstack([rows[rows.any(axis=1)], [[0, 0, 1, 2, 3], [1, 2, 3, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 5]]])
+        complex_rows = rows + 1j * rng.standard_normal(rows.shape) * (rows != 0)
+        for stack in (rows, complex_rows):
+            radii = _root_radii(stack)
+            for i, row in enumerate(stack):
+                ref = np.abs(np.roots(row))
+                assert radii[i, :len(ref)].tobytes() == ref.tobytes()
+                assert np.all(radii[i, len(ref):] == np.inf)
+                if i % 100 == 0:
+                    assert _root_radii(stack[i:i + 1]).tobytes() == radii[i:i + 1].tobytes()
+
+    def test_unsolvable_rows_read_nan(self):
+        rows = np.array([[1.0, 2, 3, 4, 5], [0, 0, 0, 0, 0], [np.inf, 1, 1, 1, 1], [1, np.nan, 1, 1, 1],
+                         [1e-320, 1, 1, 1, 1], [2.0, 1, 1, 1, 1]])
+        radii = _root_radii(rows)
+        assert np.isnan(radii[1:5]).all()
+        assert not np.isnan(radii[[0, 5]]).any()
+
+    def test_unconverged_matrix_fails_only_its_row(self, monkeypatch):
+        eigvals = np.linalg.eigvals
+
+        def flaky(A):  # a companion whose first entry is 7 does not converge
+            if np.any(np.asarray(A)[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvals(A)
+
+        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        rows = np.array([[1.0, 2, 3, 4, 5], [1.0, -7, 3, 4, 5], [2.0, 1, 1, 1, 1]])
+        radii = _root_radii(rows)
+        assert np.isnan(radii[1]).all()
+        assert not np.isnan(radii[[0, 2]]).any()
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([[1, 0, -4.25, 0, 1], [1, 0, -5, 0, 4], [np.inf, 0, 1, 0, 1]], PhaseBoundaryError, "row 1: .*root on"),
+        ([[1, 0, -4.25, 0, 1], [np.inf, 0, 1, 0, 1], [1, 0, -5, 0, 4]], ValidationError, "amplitudes too large"),
+        ([[1, 0, -4.25, 0, 1], [1e-320, 0, 1, 0, 1], [0, 0, 0, 0, 0]], ValidationError, "too far apart"),
+        ([[1, 0, -4.25, 0, 1], [0, 0, 0, 0, 0], [1e-320, 0, 1, 0, 1]], PhaseBoundaryError, "row 1: .* identically"),
+    ])
+    def test_first_failing_row_raises(self, rows, error, message):
+        # the first row has roots at |z| = 2 and 1/2, (z^2 - 1)(z^2 - 4) has two on the circle
+        with pytest.raises(error, match=message):
+            _zeros_inside(np.array(rows, dtype=float), PhaseBoundaryError, lambda i: f"row {i}")
+
+
+class TestWindingProfile:
+    def test_equal_to_per_probe_loop_on_random_models(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (0, 6), (6, 0), (9, 7), (4, 11)]
+        counted = 0
+        for case in range(60):
+            p = random_general(rng)
+            if case % 5 == 1:
+                p = params(p.t0, 0.0, p.tR, p.dL, p.dR)
+            elif case % 5 == 2:
+                p = params(p.t0, p.tL, 0.0, p.dL, p.dR)
+            n_re, n_im = shapes[case % len(shapes)]
+            args = (p, n_re, n_im, float(rng.choice([0.0, 0.1, -0.2, 0.5])), KGrid(int(rng.choice([16, 256]))),
+                    float(10.0 ** rng.uniform(-9, 0)))
+            got = outcome(lambda: spectral_winding_profile(*args))
+            assert got == outcome(lambda: winding_profile_loop(*args))
+            counted += isinstance(got, str)
+        assert counted > 50
+
+    def test_probe_exactly_at_tolerance(self):
+        # min_distance equal to a probe's nearest-sample distance evaluates it,
+        # the next float above skips it
+        rng = np.random.default_rng(41)
+        grid = KGrid(128)
+        for _ in range(12):
+            p = random_general(rng)
+            spectrum = np.concatenate(analytic_eigenvalues(p, grid.values))
+            probes = [E0 for E0, _ in winding_profile_loop(p, 7, 7, 0.1, grid, np.inf)]
+            E0 = probes[rng.integers(len(probes))]
+            d = float(np.min(np.abs(spectrum - E0)))
+            for min_distance, skipped in ((d, False), (np.nextafter(d, np.inf), True)):
+                got = spectral_winding_profile(p, 7, 7, 0.1, grid, min_distance)
+                assert repr(got) == repr(winding_profile_loop(p, 7, 7, 0.1, grid, min_distance))
+                assert (dict(got)[E0] is None) == skipped
+
+    @pytest.mark.parametrize("p, pad", [
+        # real spectrum: probes on the segment between samples have a root on |z| = 1
+        (params(1.0, 0.7, 0.7, DR, DR), 0.25),
+        # tL^2 is subnormal: every evaluated probe's companion matrix overflows
+        (params(1.0, 1e-160, 3.0), 0.0),
+        # probes so far out that their squares overflow
+        (params(1.0, 1.2, 0.9), 1e160),
+    ])
+    def test_first_failing_probe_raises_as_the_loop(self, p, pad):
+        grid = KGrid(64)
+        rejected = {outcome(lambda: spectral_winding(p, E0)) for E0, w in winding_profile_loop(p, 9, 5, pad, grid, np.inf)}
+        assert len([r for r in rejected if not isinstance(r, str)]) > 1  # which probe fails first matters
+        got = outcome(lambda: spectral_winding_profile(p, 9, 5, pad, grid, 1e-9))
+        assert not isinstance(got, str)
+        assert got == outcome(lambda: winding_profile_loop(p, 9, 5, pad, grid, 1e-9))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_re": -1}, "n_re"), ({"n_im": -3}, "n_im"),
+        ({"pad": np.inf}, "pad"), ({"pad": np.nan}, "pad"), ({"pad": 1e308}, "pad"),
+        ({"min_distance": np.nan}, "min_distance"), ({"min_distance": -1e-3}, "min_distance"),
+    ])
+    def test_bad_arguments_rejected(self, p3, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            spectral_winding_profile(p3, **kwargs)
+
+    def test_overflowing_amplitude_rejected_before_sampling(self):
+        # no RuntimeWarning (an error in this suite) comes before the ValidationError
+        with pytest.raises(ValidationError, match="amplitudes too large"):
+            spectral_winding_profile(params(1.0, 1e160, 3.0))
 
 
 class TestBandResolvedWinding:
@@ -233,6 +363,11 @@ class TestBandResolvedWinding:
             loops = band_resolved_winding(traj, E0)
             assert sum(loops) == spectral_winding(p, E0, KGrid(512))
             checked += 1
+
+    @pytest.mark.parametrize("E0", [np.nan, complex(np.inf, 0.0)])
+    def test_non_finite_reference_rejected(self, p3, E0):
+        with pytest.raises(ValidationError, match="E0"):
+            band_resolved_winding(tracked(p3, 64), E0)
 
     def test_open_trajectory_rejected(self):
         ks = KGrid(64).values
