@@ -10,6 +10,7 @@ nF / uH / Ohm units of component datasheets.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -98,9 +99,17 @@ class MeasurementNoise:
             raise ValidationError(f"noise seed must be a non-negative integer, got {self.seed!r}")
 
 
+def _invertible(value: float, what: str) -> float:
+    """``value`` of the quantity ``what`` derived from the components; a ``ValidationError``
+    naming it unless it is finite and non-zero with a finite reciprocal."""
+    if value != 0.0 and math.isfinite(value) and math.isfinite(1.0 / value):
+        return value
+    raise ValidationError(f"{what} is {value!r}; it must be finite and non-zero with a finite reciprocal")
+
+
 def resonance_frequency(c: CircuitParams) -> float:
     """Drive frequency 1/sqrt(L1 C1) at which the off-resonance term vanishes."""
-    return 1.0 / math.sqrt(c.L1 * UH * c.C1 * NF)
+    return 1.0 / math.sqrt(_invertible(c.L1 * UH * c.C1 * NF, f"L1 C1 (s^2) of L1_uH = {c.L1!r}, C1_nF = {c.C1!r}"))
 
 
 def m_coefficients(c: CircuitParams, omega: float, include_r0: bool = True):
@@ -110,18 +119,26 @@ def m_coefficients(c: CircuitParams, omega: float, include_r0: bool = True):
     shifts the admittance spectrum; ``m1 = (C1 - 1/(w^2 L1)) / 2`` is the
     off-resonance mismatch of the capacitor/inductor link and vanishes at
     the resonance frequency. ``include_r0=False`` drops the resistive
-    (imaginary) part of m0.
+    (imaginary) part of m0. ``w^2 L0``, ``w^2 L1`` and ``w R0`` must be
+    finite with finite reciprocals, and m0 finite; m1 then is too.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be positive, got {omega}")
     c0, c1, c2 = c.C0 * NF, c.C1 * NF, c.C2 * NF
     l0, l1 = c.L0 * UH, c.L1 * UH
-    m0 = -c2 - 2.0 * c0 + 1.0 / (omega**2 * l0) - c1 + 1.0 / (omega**2 * l1)
-    m0 = complex(m0, 0.0)
+    try:
+        w2 = omega**2
+    except OverflowError:  # Python's float power raises where a product would read inf
+        w2 = math.inf
+    at = f"at omega = {omega!r} rad/s"
+    w2l0 = _invertible(w2 * l0, f"omega^2 L0 (1/F) of L0_uH = {c.L0!r} {at}")
+    w2l1 = _invertible(w2 * l1, f"omega^2 L1 (1/F) of L1_uH = {c.L1!r} {at}")
+    m0 = complex(-c2 - 2.0 * c0 + 1.0 / w2l0 - c1 + 1.0 / w2l1, 0.0)
     if include_r0:
-        m0 = m0 - 1.0 / (1j * omega * c.R0)
-    m1 = (c1 - 1.0 / (omega**2 * l1)) / 2.0
-    return m0, m1
+        m0 = m0 - 1.0 / (1j * _invertible(omega * c.R0, f"omega R0 (Ohm/s) of R0_ohm = {c.R0!r} {at}"))
+    if not cmath.isfinite(m0):
+        raise ValidationError(f"on-site term m0 (F) of the six components {at} is {m0!r}; it must be finite")
+    return m0, (c1 - 1.0 / w2l1) / 2.0
 
 
 def admittance_bloch(c: CircuitParams, omega: float, k, include_r0: bool = True) -> np.ndarray:

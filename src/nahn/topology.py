@@ -104,16 +104,18 @@ def braiding_degree_of_samples(H_samples) -> int:
     return int(round(winding_number(det)))
 
 
-def _quartic(p: ModelParams) -> np.ndarray:
-    """Coefficients, highest power first, of ``P(z) = -z^2 det H(k)`` at ``z = e^{ik}``."""
-    c = p.dL.dot(p.dR)
+def _quartic(t0, tL, tR, c: float) -> np.ndarray:
+    """Coefficients, highest power first, of ``P(z) = -z^2 det H(k)`` at ``z = e^{ik}``, ``c = dL.dR``.
+
+    Arrays ``tL``, ``tR`` give one row per pair, each equal to its scalar row bit for bit.
+    """
     return np.array([
-        p.tL * p.tL,
-        2.0 * c * p.tL * p.t0,
-        p.t0 * p.t0 + 2.0 * c * p.tL * p.tR,
-        2.0 * p.t0 * p.tR,
-        p.tR * p.tR,
-    ])
+        tL * tL,
+        2.0 * c * tL * t0,
+        t0 * t0 + 2.0 * c * tL * tR,
+        2.0 * t0 * tR,
+        tR * tR,
+    ]).T
 
 
 #: Radii of a quartic's roots before the companion solve, by its count of leading
@@ -187,6 +189,12 @@ def _require_solved(coeffs: np.ndarray, radii: np.ndarray) -> None:
         raise ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}")
 
 
+def _root_count(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of :func:`_root_radii`: whether no root lies within ``ROOT_CIRCLE_TOL`` of ``|z| = 1``
+    (False for an unsolved row), and the roots inside ``|z| < 1`` minus 2."""
+    return np.all(np.abs(radii - 1.0) >= ROOT_CIRCLE_TOL, axis=1), np.count_nonzero(radii < 1.0, axis=1) - 2
+
+
 def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
     """Roots inside ``|z| < 1`` minus 2 of each row: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
 
@@ -197,14 +205,14 @@ def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
     roots cannot be found. ``what(i)`` names row ``i`` in the message.
     """
     radii = _root_radii(rows)
-    counted = np.all(np.abs(radii - 1.0) >= ROOT_CIRCLE_TOL, axis=1)  # False for NaN radii
+    counted, inside = _root_count(radii)
     if not counted.all():
         i = counted.argmin()
         if not rows[i].any():
             raise error(f"{what(i)}: determinant vanishes identically")
         _require_solved(rows[i], radii[i])
         raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
-    return np.count_nonzero(radii < 1.0, axis=1) - 2
+    return inside
 
 
 def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
@@ -217,7 +225,7 @@ def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
     """
     square = np.empty_like(E0)
     rows = np.empty((len(E0), 5), dtype=complex)
-    rows[:] = _quartic(p)
+    rows[:] = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         # Python's complex(E0) ** 2 bit for bit, which numpy's complex product is not
         square.real = E0.real * E0.real - E0.imag * E0.imag
@@ -238,7 +246,8 @@ def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
     working. A determinant zero on the loop signals a phase boundary and
     raises ``PhaseBoundaryError``.
     """
-    return int(_zeros_inside(_quartic(p)[None], PhaseBoundaryError, lambda i: "braiding degree")[0])
+    row = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))
+    return int(_zeros_inside(row[None], PhaseBoundaryError, lambda i: "braiding degree")[0])
 
 
 def spectral_winding(p: ModelParams, E0: complex, grid: KGrid | None = None) -> int:
@@ -286,7 +295,7 @@ def spectral_winding_profile(
         raise ValidationError(f"pad must be finite, got {pad}")
     if not min_distance >= 0.0:
         raise ValidationError(f"min_distance must be >= 0, got {min_distance}")
-    _require_finite(_quartic(p))
+    _require_finite(_quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR)))
     grid = grid or KGrid()
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         spectrum = np.concatenate(analytic_eigenvalues(p, grid.values))
@@ -345,21 +354,6 @@ def band_resolved_winding(traj: BandTrajectories, E0: complex) -> list:
     return out
 
 
-def _boundary_residual(p: ModelParams) -> float:
-    """Signed residual ``-(|z_(2)| - 1)(|z_(3)| - 1)`` of ``P``'s sorted root radii.
-
-    The middle pair is the one that defines the generalized Brillouin zone
-    (Yokomizo & Murakami, PRL 123, 066404 (2019)). For any ``dL``, ``dR``
-    and ``t0`` the residual is positive exactly where ``nu = 0`` (two roots
-    inside ``|z| < 1``) and changes sign wherever a root crosses the circle.
-    """
-    coeffs = _quartic(p)
-    radii = _root_radii(coeffs[None])[0]
-    _require_solved(coeffs, radii)
-    r = np.sort(radii)
-    return float(-(r[1] - 1.0) * (r[2] - 1.0))
-
-
 def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_TOL) -> np.ndarray:
     """Momentum points where the two eigenvalues nearly coalesce.
 
@@ -384,7 +378,7 @@ class PhaseDiagram:
     ``nu[i, j]`` belongs to ``(tL_axis[i], tR_axis[j])``; rejected cells
     carry ``NU_SENTINEL``. ``boundary_residual`` is finite in every cell:
     positive where ``nu = 0``, negative elsewhere (see
-    :func:`_boundary_residual`).
+    :func:`compute_phase_diagram`).
     """
 
     tL_axis: np.ndarray
@@ -405,14 +399,14 @@ def compute_phase_diagram(
 ) -> PhaseDiagram:
     """Sweep the (tL, tR) plane at t0 = 1.
 
-    Each cell gets the braiding degree (sentinel on rejection), the
-    boundary-density contrast of an open chain with ``chain_N`` sites, and
-    the signed boundary residual of :func:`_boundary_residual`, whose sign
-    changes across every ``nu`` transition. Cells are independent; they are
-    dispatched to a thread pool of ``threads`` workers and written back by
-    index. The loaded OpenBLAS runs on one thread for the length of the
-    sweep, so the pool is its only parallelism and the output does not
-    depend on the pool width or the BLAS thread setting.
+    One stacked root count of the plane's braiding quartics gives every
+    cell's ``nu`` (sentinel where :func:`braiding_degree` rejects) and its
+    boundary residual. A cell is only the boundary-density contrast of an
+    open chain with ``chain_N`` sites, after raising the ``ValidationError``
+    of a quartic that cannot be solved. Cells go to a thread pool of
+    ``threads`` workers. The loaded OpenBLAS runs on one thread for the
+    length of the sweep, so the pool is its only parallelism and the output
+    does not depend on the pool width or the BLAS thread setting.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not 0.0 <= lo < hi < np.inf:
@@ -422,39 +416,39 @@ def compute_phase_diagram(
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
     # smaller hoppings square to subnormals, whose companion ratios overflow
     # (_root_radii leaves the row unsolved), or to 0, which sends roots of P
-    # to infinity, where _boundary_residual's middle pair must not lie
+    # to infinity, where the residual's middle pair must not lie
     floor = np.sqrt(np.finfo(float).tiny)
     if axis[0] < floor:
         raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")
-
-    nu = np.full((resolution, resolution), NU_SENTINEL, dtype=int)
-    gam = np.full((resolution, resolution), np.nan)
-    res = np.full((resolution, resolution), np.nan)
-
-    def cell(idx):
-        i, j = idx
-        p = ModelParams(t0=1.0, tL=float(axis[i]), tR=float(axis[j]), dL=dL, dR=dR)
-        try:
-            nu_ij = braiding_degree(p)
-        except NumericalError:
-            nu_ij = NU_SENTINEL
-        try:
-            V = skin.obc_eigenstates(p, chain_N).right_eigenvectors
-            gam_ij = skin.gamma(skin.densities_from_eigenvectors(V))
-        except NumericalError:
-            gam_ij = np.nan
-        return i, j, nu_ij, gam_ij, _boundary_residual(p)
-
-    indices = [(i, j) for i in range(resolution) for j in range(resolution)]
     if threads is not None and threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    done = 0
+
+    tL, tR = np.repeat(axis, resolution), np.tile(axis, resolution)
+    with np.errstate(over="ignore"):  # as Python floats square: to inf, rejected by the cell
+        rows = _quartic(1.0, tL, tR, dL.dot(dR))
+
+    def cell(row, radii, tL, tR):
+        _require_solved(row, radii)
+        p = ModelParams(t0=1.0, tL=tL, tR=tR, dL=dL, dR=dR)
+        try:
+            return skin.gamma(skin.densities_from_eigenvectors(skin.obc_eigenstates(p, chain_N).right_eigenvectors))
+        except NumericalError:
+            return np.nan
+
+    gamma = []
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, j, nu_ij, gam_ij, res_ij in pool.map(cell, indices):
-            nu[i, j] = nu_ij
-            gam[i, j] = gam_ij
-            res[i, j] = res_ij
-            done += 1
-            if progress is not None and done % resolution == 0:
-                progress(done // resolution, resolution)
-    return PhaseDiagram(tL_axis=axis, tR_axis=axis.copy(), nu=nu, gamma=gam, boundary_residual=res)
+        radii = _root_radii(rows)
+        for g in pool.map(cell, rows, radii, tL.tolist(), tR.tolist()):
+            gamma.append(g)
+            if progress is not None and len(gamma) % resolution == 0:
+                progress(len(gamma) // resolution, resolution)
+    counted, inside = _root_count(radii)
+    # the middle pair of sorted radii defines the generalized Brillouin zone
+    # (Yokomizo & Murakami, PRL 123, 066404 (2019)): for any dL and dR the
+    # residual is positive exactly where nu = 0 (two roots inside |z| < 1)
+    # and changes sign wherever a root crosses the circle
+    r = np.sort(radii, axis=1)
+    res = -(r[:, 1] - 1.0) * (r[:, 2] - 1.0)
+    shape = (resolution, resolution)
+    return PhaseDiagram(tL_axis=axis, tR_axis=axis.copy(), nu=np.where(counted, inside, NU_SENTINEL).reshape(shape),
+                        gamma=np.array(gamma).reshape(shape), boundary_residual=res.reshape(shape))

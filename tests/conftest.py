@@ -134,10 +134,10 @@ def phase_boundary_residual(tL: float, tR: float) -> float:
 
     Zero crossings along a parameter path locate braiding phase
     boundaries. The closed form holds only for orthogonal directions
-    (``dL . dR = 0``); phase diagrams write ``topology._boundary_residual``,
-    which holds for every direction and has this one's sign there. At
-    ``tL**2 == tR**2`` the expression degenerates and raises
-    ``PhaseBoundaryError``.
+    (``dL . dR = 0``); phase diagrams write the residual of the braiding
+    quartic's middle root radii, which holds for every direction and has
+    this one's sign there. At ``tL**2 == tR**2`` the expression
+    degenerates and raises ``PhaseBoundaryError``.
     """
     denom = tL * tL - tR * tR
     if denom == 0.0:

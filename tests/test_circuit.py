@@ -85,6 +85,11 @@ class TestMCoefficients:
         with pytest.raises(ValidationError):
             m_coefficients(reference_circuit(20.0, 30.0), -1.0)
 
+    def test_overflowing_m0_rejected(self):
+        # 1/(w^2 L0) and 1/(w^2 L1) are each 1e308, their sum is not finite
+        with pytest.raises(ValidationError, match="on-site term m0"):
+            m_coefficients(CircuitParams(10, 12, 9, 1, 1, 3.9), 1e-151)
+
 
 class TestAdmittanceBloch:
     def test_resonance_identity(self):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -597,6 +598,30 @@ class TestOutOfRangeAmplitudes:
         assert not out.exists()
 
 
+class TestOutOfRangeCircuitValues:
+    # each exited 1 with a traceback: L1 C1 or omega^2 L0 underflowed to a zero
+    # divisor, omega^2 overflowed, the loci's determinants overflowed (C0), or
+    # 1/(omega R0) did and the samples were blamed for it (R0)
+    @pytest.mark.parametrize("key, value, named", [
+        ("C1_nF", "1e-320", "L1 C1"),
+        ("omega_rad_s", "1e-160", "omega^2 L0"),
+        ("omega_rad_s", "1e300", "omega^2 L0"),
+        ("C0_nF", "1e160", "overflow their determinants"),
+        ("R0_ohm", "1e-320", "omega R0"),
+    ])
+    def test_config_error(self, tmp_path, key, value, named, capsys):
+        lines = [line for line in (RECIPES / "fig3c.cfg").read_text().splitlines() if not line.startswith(key)]
+        cfg = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}", ""]))
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command, text", [("spectrum", MODEL_CFG), ("skin", OPEN_CFG)], ids=["spectrum", "skin"])
     @pytest.mark.parametrize("where", ["directory", "under-file"])
@@ -609,12 +634,12 @@ class TestUnwritableOutput:
 
 
 class TestNanofaradConversion:
-    # drives up to 1/NF rad/s, where the factor 1/(drive NF) is at least 1; above
-    # it a part that underflows to zero can take the other sign of zero
-    @pytest.mark.parametrize("drive", [2 * np.pi * 1e4, 1e5, 3.7e5, 1.234567e6, 8.9e8])
+    # above drive = 1/NF rad/s the factor 1/(drive NF) is below 1, and multiplying
+    # by it gives a part that underflows to zero the other sign of zero
+    @pytest.mark.parametrize("drive", [2 * np.pi * 1e4, 1e5, 3.7e5, 1.234567e6, 8.9e8, 1e10, 1e12])
     def test_equals_division_bit_for_bit(self, drive):
-        # skin once divided by 1j * drive * NF; the golden hashes that would see a
-        # changed last digit skip on other numpy/BLAS builds, so this holds it there
+        # the golden hashes that would see a changed last digit skip on other
+        # numpy/BLAS builds, so this holds the conversion there
         rng = np.random.default_rng(int(drive))
         special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e-300, -1e-300, 1e300, -1e300, 1.0])
         pool = np.concatenate([special, rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)])
@@ -624,6 +649,9 @@ class TestNanofaradConversion:
         z.imag = np.concatenate([np.tile(special, len(special)), rng.choice(pool, 20000)])
         expected = z / (1j * drive * NF)
         assert np.array_equal(cli._in_nF(z, drive).view(np.int64), expected.view(np.int64))
+        if drive < 1 / NF:
+            # the loci, open-chain spectrum and measure goldens were written by multiplying
+            assert np.array_equal((z * (1.0 / (1j * drive * NF))).view(np.int64), expected.view(np.int64))
 
 
 class TestDeterminismAndEntryPoint:

@@ -25,9 +25,10 @@ from nahn import (
     spectral_winding_profile,
     winding_number,
 )
+from nahn import topology
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.topology import NU_SENTINEL, _boundary_residual, _root_radii, _zeros_inside
+from nahn.topology import NU_SENTINEL, _quartic, _root_radii, _zeros_inside
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -40,6 +41,12 @@ def bisect_boundary(tL, lo, hi, iterations=60):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def boundary_residual(p):
+    """The sweep's boundary residual of one model: ``-(r_(2) - 1)(r_(3) - 1)`` of its sorted root radii."""
+    r = np.sort(_root_radii(_quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))[None])[0])
+    return -(r[1] - 1.0) * (r[2] - 1.0)
 
 
 def tracked(p, n=1024):
@@ -115,9 +122,10 @@ class TestBraidingDegree:
 
     @pytest.mark.parametrize("t0, tL", [(1.0, 1e160), (1.0, 1e-160), (1e10, 1e-150)])
     def test_out_of_range_amplitudes_rejected(self, t0, tL):
-        # the quartic's coefficients overflow, or the companion matrix does
+        # the quartic's coefficients overflow, or the companion matrix does;
+        # TestPhaseDiagram.test_unsolvable_cell_raises_before_its_chain covers the sweep
         p = params(t0, tL, 3.0)
-        for count in (lambda: braiding_degree(p), lambda: spectral_winding(p, 0.5j), lambda: _boundary_residual(p),
+        for count in (lambda: braiding_degree(p), lambda: spectral_winding(p, 0.5j),
                       lambda: spectral_winding_profile(p, 3, 3)):
             with pytest.raises(ValidationError, match="amplitudes too"):
                 count()
@@ -439,7 +447,7 @@ class TestBoundaryResidual:
         axis = np.linspace(0.05, 4.0, 80)
         for tL in axis:
             for tR in axis[axis != tL]:
-                rho = _boundary_residual(params(1.0, tL, tR))
+                rho = boundary_residual(params(1.0, tL, tR))
                 assert np.sign(rho) == np.sign(phase_boundary_residual(tL, tR)), (tL, tR)
 
     def test_positive_exactly_where_nu_zero_for_general_parameters(self):
@@ -453,7 +461,7 @@ class TestBoundaryResidual:
             except PhaseBoundaryError:
                 continue
             seen.add(nu)
-            assert (_boundary_residual(p) > 0) == (nu == 0)
+            assert (boundary_residual(p) > 0) == (nu == 0)
         assert {-2, 0, 2} <= seen
 
     @pytest.mark.parametrize(
@@ -530,6 +538,59 @@ class TestPhaseDiagram:
             progress=lambda done, total: seen.append((done, total)),
         )
         assert seen == [(r, 8) for r in range(1, 9)]
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize(
+        "dL", [GaugeVector(0.0, 0.0, 1.0), GaugeVector(0.6, 0.0, 0.8), DR], ids=["c=0", "c=0.6", "dL=dR"]
+    )
+    def test_equal_to_per_cell_invariants(self, dL, threads):
+        # the plane's stacked root count against each cell's own braiding_degree and residual
+        diagram = compute_phase_diagram((0.0, 4.0), 8, chain_N=4, dL=dL, dR=DR, threads=threads)
+        nu, residual = [], []
+        for tL in diagram.tL_axis.tolist():
+            for tR in diagram.tR_axis.tolist():
+                p = params(1.0, tL, tR, dL, DR)
+                try:
+                    nu.append(braiding_degree(p))
+                except PhaseBoundaryError:
+                    nu.append(NU_SENTINEL)
+                residual.append(boundary_residual(p))
+        assert diagram.nu.tolist() == np.reshape(nu, (8, 8)).tolist()
+        assert diagram.boundary_residual.tobytes() == np.array(residual).tobytes()
+        if dL == DR:
+            assert diagram.nu[1, 1] == NU_SENTINEL
+
+    def test_one_stacked_root_count_per_plane(self, monkeypatch):
+        calls = []
+
+        def counted(rows):
+            calls.append(len(rows))
+            return _root_radii(rows)
+
+        def per_cell(*args):
+            raise AssertionError("the sweep counts no single cell")
+
+        monkeypatch.setattr(topology, "_root_radii", counted)
+        monkeypatch.setattr(topology, "braiding_degree", per_cell)
+        compute_phase_diagram((0.0, 2.0), 9, chain_N=4, threads=2)
+        assert calls == [81]
+
+    @pytest.mark.parametrize("resolution, t_max, message", [
+        (8, 8e154, "the squared norm of the 12x12 open chain is not finite"),
+        (8, 1.2e155, "polynomial coefficients [inf, 0.0, 1.0, 3e+154, inf] are not finite"),
+        (8, 1e160, "polynomial coefficients [inf, 0.0, 1.0, 2.5e+159, inf] are not finite"),
+        (50, 8e154, "the squared norm of the 12x12 open chain is not finite"),
+        (50, 1.2e155, "the squared norm of the 12x12 open chain is not finite"),
+        (50, 1e160, "polynomial coefficients [inf, 0.0, 1.0, 4e+158, inf] are not finite"),
+    ])
+    def test_unsolvable_cell_raises_before_its_chain(self, resolution, t_max, message):
+        # a cell whose quartic overflows raises that, not its chain's overflow;
+        # the first cell of the plane fails, so no row is reported before the error
+        seen = []
+        with pytest.raises(ValidationError) as info:
+            compute_phase_diagram((0.0, t_max), resolution, chain_N=6, progress=lambda done, total: seen.append(done))
+        assert str(info.value) == "amplitudes too large: " + message
+        assert seen == []
 
     def test_validation(self):
         with pytest.raises(ValidationError):
