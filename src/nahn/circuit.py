@@ -120,7 +120,9 @@ def m_coefficients(c: CircuitParams, omega: float, include_r0: bool = True):
     off-resonance mismatch of the capacitor/inductor link and vanishes at
     the resonance frequency. ``include_r0=False`` drops the resistive
     (imaginary) part of m0. ``w^2 L0``, ``w^2 L1`` and ``w R0`` must be
-    finite with finite reciprocals, and m0 finite; m1 then is too.
+    finite with finite reciprocals, and m0 finite; m1 then is too. Every
+    admittance entry, in siemens or nF, is at most ``s = (|m0| + 2|m1| +
+    C0 + C1 + C2) max(w, 1/NF)``, and ``8 s^2`` must be finite.
     """
     if omega <= 0:
         raise ValidationError(f"omega must be positive, got {omega}")
@@ -138,7 +140,15 @@ def m_coefficients(c: CircuitParams, omega: float, include_r0: bool = True):
         m0 = m0 - 1.0 / (1j * _invertible(omega * c.R0, f"omega R0 (Ohm/s) of R0_ohm = {c.R0!r} {at}"))
     if not cmath.isfinite(m0):
         raise ValidationError(f"on-site term m0 (F) of the six components {at} is {m0!r}; it must be finite")
-    return m0, (c1 - 1.0 / w2l1) / 2.0
+    m1 = (c1 - 1.0 / w2l1) / 2.0
+    # eigvals2x2 and braiding_degree_of_samples form determinants and discriminants
+    # of at most 3 s^2; 8 s^2 leaves room for measured ring loci, which CONDITION_LIMIT
+    # keeps close to the nominal ones. |Re m0| + |Im m0| bounds |m0|, and unlike abs cannot raise
+    s = (abs(m0.real) + abs(m0.imag) + 2.0 * abs(m1) + c0 + c1 + c2) * max(omega, 1.0 / NF)
+    if not math.isfinite(8.0 * s * s):
+        keys = ", ".join(COMPONENT_KEYS.values())
+        raise ValidationError(f"admittances up to {s!r} S or nF {at} overflow their determinants; {keys} are out of range")
+    return m0, m1
 
 
 def admittance_bloch(c: CircuitParams, omega: float, k, include_r0: bool = True) -> np.ndarray:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -113,18 +112,7 @@ def _write_bands(out: Path, fmt: str, eff: dict, grid, pairs, raw_scale=None, **
 
 
 def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extra) -> None:
-    """Band table of admittance loci (siemens), shown in nF (divided by i omega NF).
-
-    Their determinants and eigenvalue discriminants, in siemens and in nF,
-    are at most ``8 s^2`` for ``s`` the largest entry in either unit, so
-    that must be finite.
-    """
-    s = float(np.abs(loci).max()) * max(1.0, 1.0 / (drive * cct.NF))
-    if not math.isfinite(8.0 * s * s):
-        raise ValidationError(
-            f"admittance loci up to {s!r} S or nF at omega = {drive!r} rad/s overflow their determinants; "
-            f"{', '.join(cct.COMPONENT_KEYS.values())} are out of range"
-        )
+    """Band table of admittance loci (siemens), shown in nF (divided by i omega NF)."""
     pairs = eigvals2x2(_in_nF(loci, drive))
     _write_bands(
         out, fmt, eff, grid, pairs, 1j * drive * cct.NF,

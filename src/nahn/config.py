@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,29 +13,6 @@ from .errors import ValidationError
 from .model import BoundaryCondition, GaugeVector, ModelParams
 from .skin import DEFAULT_THRESHOLD, DEFAULT_WINDOW_FRACTION
 from .topology import DEFAULT_KPOINTS, EP_TOL
-
-#: Keys of the model block and the circuit block, with the type each value
-#: must have; a ``GaugeVector`` key takes a list of three numbers, and
-#: ``omega_rad_s`` may be null for the resonance frequency.
-MODEL_KEYS = {"t0": float, "tL": float, "tR": float, "dL": GaugeVector, "dR": GaugeVector}
-CIRCUIT_KEYS = {**dict.fromkeys(COMPONENT_KEYS.values(), float), "omega_rad_s": float | None}
-
-#: Run settings either block may carry, with the type each value must have.
-SETTINGS = {
-    "kpoints": int,
-    "chain_N": int,
-    "boundary": BoundaryCondition,
-    "t_min": float,
-    "t_max": float,
-    "resolution": int,
-    "seed": int,
-    "noise_sigma": float,
-    "window_fraction": float,
-    "loc_threshold": float,
-    "ep_tol": float,
-    "zero_r0": bool,
-    "threads": int,
-}
 
 
 @dataclass
@@ -60,6 +38,22 @@ class RunConfig:
     ep_tol: float = EP_TOL
     zero_r0: bool = False
     threads: int | None = None
+
+
+def _field_kinds(cls) -> dict:
+    """Each field of dataclass ``cls`` with its type, ``None`` dropped: there it only means "not given"."""
+    hints = typing.get_type_hints(cls)
+    return {name: next((a for a in typing.get_args(kind) if a is not type(None)), kind) for name, kind in hints.items()}
+
+
+#: Keys of the model block and the circuit block, with the type each value
+#: must have; a ``GaugeVector`` key takes a list of three numbers, and
+#: ``omega_rad_s`` may be null for the resonance frequency.
+MODEL_KEYS = _field_kinds(ModelParams)
+CIRCUIT_KEYS = {**dict.fromkeys(COMPONENT_KEYS.values(), float), "omega_rad_s": float | None}
+
+#: Run settings either block may carry, with the type each value must have.
+SETTINGS = {key: kind for key, kind in _field_kinds(RunConfig).items() if key not in ("model", "circuit")}
 
 
 def _parse_scalar(text: str):

@@ -622,6 +622,30 @@ class TestOutOfRangeCircuitValues:
         assert not out.exists()
 
 
+class TestLapackFailureExitCodes:
+    # only a failing LAPACK call reaches these two exit codes
+    @staticmethod
+    def raising(*args, **kwargs):
+        raise np.linalg.LinAlgError("simulated LAPACK failure")
+
+    def test_eigensolver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "eig", self.raising)
+        out = tmp_path / "x.csv"
+        assert main(["skin", "--config", str(RECIPES / "fig1g.cfg"), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: QR iteration did not converge") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_uninvertible_network_exits_4(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(np.linalg, "inv", self.raising)
+        out = tmp_path / "x.csv"
+        assert main(["measure", "--config", str(RECIPES / "fig4abc.cfg"), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("singular network: admittance matrix is near-singular (1-norm condition number inf)")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command, text", [("spectrum", MODEL_CFG), ("skin", OPEN_CFG)], ids=["spectrum", "skin"])
     @pytest.mark.parametrize("where", ["directory", "under-file"])

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import DR, params, phase_boundary_residual, random_unit_vector, winding_profile_loop
 from nahn import (
+    EigensolverError,
     GaugeVector,
     KGrid,
     PhaseBoundaryError,
@@ -386,6 +387,22 @@ class TestBandResolvedWinding:
         with pytest.raises(OpenTrajectoryError):
             band_resolved_winding(traj, 100.0 + 0.0j)
 
+    def test_reference_on_loop_rejected(self, p3):
+        traj = tracked(p3, 64)
+        with pytest.raises(ReferenceOnSpectrumError, match="lies on a band loop"):
+            band_resolved_winding(traj, complex(traj.bands[1, 5]))
+
+    @pytest.mark.parametrize("E0, winding", [(0.0, 1), (0.3 + 0.1j, 1), (2.0, 0)])
+    def test_swapped_bands_wind_as_one_loop(self, E0, winding):
+        # E+- = +-e^{ik/2} closes only after the bands exchange: one loop of period
+        # 4 pi, whose winding is that of det(H - E0) = E0^2 - e^{ik}
+        ks = KGrid(64).values
+        half = np.exp(0.5j * ks)
+        traj = sort_bands_by_continuity(ks, np.column_stack([half, -half]))
+        assert traj.band_swap
+        assert band_resolved_winding(traj, E0) == [winding]
+        assert round(winding_number((half - E0) * (-half - E0))) == winding
+
 
 class TestPhaseBoundaryResidual:
     def test_known_values(self):
@@ -499,6 +516,11 @@ class TestExceptionalScan:
         assert len(exceptional_scan(p_boundary, grid, tol)) > 0
         assert len(exceptional_scan(params(1.0, 1.0, 3.0), grid, tol)) == 0
 
+    def test_zero_gap_everywhere(self):
+        # with every amplitude 0 the two bands coincide at each k
+        grid = KGrid(16)
+        assert np.array_equal(exceptional_scan(params(0.0, 0.0, 0.0), grid), grid.values)
+
 
 class TestPhaseDiagram:
     def test_linked_cells_and_layers(self):
@@ -560,6 +582,25 @@ class TestPhaseDiagram:
         if dL == DR:
             assert diagram.nu[1, 1] == NU_SENTINEL
 
+    def test_failed_cell_solve_reads_nan(self, monkeypatch):
+        # a cell whose open-chain solve raises a NumericalError gets gamma NaN; no other value changes
+        sweep = dict(t_range=(0.0, 2.0), resolution=8, chain_N=10, threads=2)
+        reference = compute_phase_diagram(**sweep)
+        solve = topology.skin.obc_eigenstates
+
+        def failing(p, N):
+            if (p.tL, p.tR) == (0.75, 1.5):
+                raise EigensolverError("QR iteration did not converge")
+            return solve(p, N)
+
+        monkeypatch.setattr(topology.skin, "obc_eigenstates", failing)
+        diagram = compute_phase_diagram(**sweep)
+        expected = reference.gamma.copy()
+        expected[2, 5] = np.nan
+        assert np.array_equal(diagram.gamma, expected, equal_nan=True)
+        assert diagram.nu.tobytes() == reference.nu.tobytes()
+        assert diagram.boundary_residual.tobytes() == reference.boundary_residual.tobytes()
+
     def test_one_stacked_root_count_per_plane(self, monkeypatch):
         calls = []
 
@@ -601,6 +642,8 @@ class TestPhaseDiagram:
             compute_phase_diagram((0.0, 1e-160), 8, chain_N=10)
         with pytest.raises(ValidationError, match="t range"):
             compute_phase_diagram((0.0, math.inf), 8, 10)
+        with pytest.raises(ValidationError, match="threads must be >= 1, got 0"):
+            compute_phase_diagram((0.0, 4.0), 8, 10, threads=0)
 
 
 @pytest.fixture
