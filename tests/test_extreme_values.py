@@ -113,11 +113,12 @@ def test_extreme_value(tmp_path, recipe, overlay):
             code = main([command, "--config", str(config), "--out", str(out_dir / "out.csv"), *flags])
         run = (command, *flags, overlay)
         messages = [line for line in stderr.getvalue().splitlines() if not line.startswith("phase-diagram: row ")]
-        if command != "phase-diagram" and "noise_sigma" not in settings:
+        noiseless = "noise_sigma" not in settings
+        if command != "phase-diagram" and noiseless:
             rejections.setdefault(tuple(flags), {})[command] = messages[0] if code == 2 else None
         if code == 0:
             assert messages == [], run
-            _check_outputs(out_dir, "noise_sigma" not in settings)
+            _check_outputs(out_dir, noiseless)
             continue
         assert code in PREFIXES and len(messages) == 1 and messages[0].startswith(PREFIXES[code]), (run, code, messages)
         assert code != 4 or (command == "measure" and "condition number nan" not in messages[0]), (run, messages)
