@@ -142,11 +142,12 @@ def analytic_eigenvalues(p: ModelParams, k):
     ``(t0 + tR e^{-ik})^2 + tL^2 e^{2ik} + 2 (t0 + tR e^{-ik}) tL e^{ik} (dL . dR)``
     and ``E- = -E+`` exactly. Which root belongs to which band is not
     decided here; continuity sorting downstream resolves the identity.
-    Accepts scalar or array ``k``.
+    Accepts scalar or array ``k``. ``e^{-ik}`` is taken as the conjugate
+    of ``e^{ik}``, which has the bits of the exponential of ``-ik``.
     """
-    k = np.asarray(k, dtype=float)
-    a = p.t0 + p.tR * np.exp(-1j * k)
-    b = p.tL * np.exp(1j * k)
+    phase = np.exp(1j * np.asarray(k, dtype=float))
+    a = p.t0 + p.tR * phase.conj()
+    b = p.tL * phase
     e_plus = np.sqrt(a * a + b * b + 2.0 * a * b * p.dL.dot(p.dR))
     return e_plus, -e_plus
 

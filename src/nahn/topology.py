@@ -6,13 +6,22 @@ winding of ``det(H(k) - E0)``. For model parameters both are counted
 exactly, without a k grid: ``H(k)`` is traceless, so with ``z = e^{ik}``
 ``z^2 det(H - E0) = E0^2 z^2 - P(z)`` for a quartic ``P``, and by the
 argument principle each winding is the number of roots inside ``|z| < 1``
-minus the double pole at ``z = 0``. Loops given as samples (measured or
-circuit loci) are wound by accumulating the phase differences of their
-determinants, each step bounded by pi in magnitude.
+minus the double pole at ``z = 0``.
+
+The model's ``P`` factors: with ``cos(theta) = dL.dR`` it is ``q+ q-``,
+``q+-(z) = tL z^2 + e^{+-i theta} (t0 z + tR)``. The amplitudes are real, so
+the roots of ``q-`` are the conjugates of those of ``q+``, and the braiding
+degree is ``nu = 2 n+ - 2``, where ``n+`` counts the roots of ``q+`` inside
+the circle (:func:`_qplus_radii`). ``w(E0)`` and the phase diagram's
+boundary residual count the roots of quartics with one stacked kernel
+(:func:`_root_radii`). Loops given as samples (measured or circuit loci) are
+wound by accumulating the phase differences of their determinants, each
+step bounded by pi in magnitude.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -74,8 +83,8 @@ def winding_number(values) -> float:
     than pi per step.
     """
     v = np.asarray(values, dtype=complex)
-    steps = np.angle(np.roll(v, -1) / v)
-    return float(np.sum(steps) / (2.0 * np.pi))
+    steps = np.angle(np.concatenate((v[1:], v[:1])) / v)  # np.roll(v, -1) / v, without np.roll's overhead
+    return float(steps.sum() / (2.0 * np.pi))
 
 
 def braiding_degree_of_samples(H_samples) -> int:
@@ -154,8 +163,8 @@ def _root_radii(rows: np.ndarray) -> np.ndarray:
         A = np.zeros((len(ratios), d, d), dtype=rows.dtype)
         A[:, 0] = ratios
         A.reshape(len(A), d * d)[:, d::d + 1] = 1.0
-        bad = ~np.isfinite(ratios).all(axis=1)
-        if bad.any():
+        if not np.isfinite(ratios).all():
+            bad = ~np.isfinite(ratios).all(axis=1)
             A[bad] = 0.0  # solved as zero roots, then marked unsolved
             unsolved[at] |= bad
         radii[at, :d] = np.abs(_eigvals(A))
@@ -182,17 +191,47 @@ def _require_finite(coeffs: np.ndarray) -> None:
         raise ValidationError(f"amplitudes too large: polynomial coefficients {coeffs.tolist()} are not finite")
 
 
+def _unsolvable(coeffs: np.ndarray) -> ValidationError:
+    """The error of a quartic row whose roots cannot be found: raised here if a coefficient is not finite,
+    returned if they are too far apart in scale."""
+    _require_finite(coeffs)
+    return ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}")
+
+
 def _require_solved(coeffs: np.ndarray, radii: np.ndarray) -> None:
     """Raise ``ValidationError`` when :func:`_root_radii` could not solve the row ``coeffs``."""
     if np.isnan(radii[0]):
-        _require_finite(coeffs)
-        raise ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}")
+        raise _unsolvable(coeffs)
+
+
+def _qplus_radii(t0: float, tL, tR, c: float) -> np.ndarray:
+    """``|z|`` of the two roots of ``q+(z) = tL z^2 + e^{i theta} (t0 z + tR)``, ``cos(theta) = c``, on the last axis.
+
+    ``t0`` and ``c`` are scalars (``c`` clipped to [-1, 1]); scalar ``tL``,
+    ``tR`` give shape ``(2,)``, arrays one pair of radii per pair of
+    amplitudes. The quadratic is scaled by its largest amplitude, so its
+    discriminant cannot overflow, and its larger root comes from the formula
+    that avoids cancellation, the smaller from the product of the roots. A
+    root that a zero leading coefficient sends to infinity reads ``inf``;
+    both read NaN where ``q+`` vanishes identically.
+    """
+    c = min(1.0, max(-1.0, c))
+    phase = complex(c, -math.sqrt(1.0 - c * c))  # e^{-i theta}; q+ e^{-i theta} / scale = a z^2 + b z + c0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # roots at infinity; vanishing q+
+        if t0 == 0.0:
+            r = np.sqrt(np.abs(tR) / np.abs(tL))
+            return np.array([r, r]).T
+        scale = np.maximum(np.maximum(abs(tL), abs(t0)), abs(tR))
+        a, b, c0 = tL / scale * phase, t0 / scale, tR / scale
+        d = np.sqrt(b * b - 4.0 * a * c0)
+        q = -0.5 * (b + d) if t0 > 0.0 else -0.5 * (b - d)  # Re d >= 0, so |q| >= |b| / 2 > 0
+        return np.array([np.abs(q) / np.abs(a), abs(c0) / np.abs(q)]).T
 
 
 def _root_count(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of :func:`_root_radii`: whether no root lies within ``ROOT_CIRCLE_TOL`` of ``|z| = 1``
-    (False for an unsolved row), and the roots inside ``|z| < 1`` minus 2."""
-    return np.all(np.abs(radii - 1.0) >= ROOT_CIRCLE_TOL, axis=1), np.count_nonzero(radii < 1.0, axis=1) - 2
+    """Per row of root radii (the last axis): whether none lies within ``ROOT_CIRCLE_TOL`` of ``|z| = 1``
+    (False where a radius is NaN), and how many lie inside ``|z| < 1``."""
+    return np.abs(radii - 1.0).min(axis=-1) >= ROOT_CIRCLE_TOL, (radii < 1.0).sum(axis=-1)
 
 
 def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
@@ -212,7 +251,7 @@ def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
             raise error(f"{what(i)}: determinant vanishes identically")
         _require_solved(rows[i], radii[i])
         raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
-    return inside
+    return inside - 2
 
 
 def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
@@ -223,13 +262,14 @@ def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
     :func:`spectral_winding` raises for it; one that is not finite, or whose
     square overflows, raises ``ValidationError``.
     """
-    square = np.empty_like(E0)
     rows = np.empty((len(E0), 5), dtype=complex)
     rows[:] = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))
+    re, im = E0.real, E0.imag
+    square = np.empty_like(E0)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
         # Python's complex(E0) ** 2 bit for bit, which numpy's complex product is not
-        square.real = E0.real * E0.real - E0.imag * E0.imag
-        square.imag = 2.0 * (E0.real * E0.imag)
+        square.real = re * re - im * im
+        square.imag = 2.0 * (re * im)
         rows[:, 2] -= square
     finite = np.isfinite(square)
     n = len(E0) if finite.all() else finite.argmin()
@@ -240,14 +280,29 @@ def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
 
 
 def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
-    """Integer braiding degree of the two Bloch bands, by exact root count.
+    """Integer braiding degree of the two Bloch bands, ``2 n+ - 2`` from the roots of ``q+`` (see the module).
 
     ``grid`` is unused; it is accepted so that callers passing one keep
-    working. A determinant zero on the loop signals a phase boundary and
-    raises ``PhaseBoundaryError``.
+    working. A root of ``q+`` within ``ROOT_CIRCLE_TOL`` of ``|z| = 1`` (a
+    determinant zero on the loop) signals a phase boundary and raises
+    ``PhaseBoundaryError``, as does a quartic ``P`` that vanishes
+    identically. ``P``'s coefficients must be finite and close enough in
+    scale for its companion matrix, as for :func:`spectral_winding`, or
+    ``ValidationError`` is raised.
     """
-    row = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))
-    return int(_zeros_inside(row[None], PhaseBoundaryError, lambda i: "braiding degree")[0])
+    c = p.dL.dot(p.dR)
+    row = _quartic(p.t0, p.tL, p.tR, c)
+    coeffs = row.tolist()
+    if not any(coeffs):
+        raise PhaseBoundaryError("braiding degree: determinant vanishes identically")
+    nonzero = [x for x in coeffs if x]
+    # a coefficient that is not finite, or a companion ratio of _root_radii that overflows
+    if not all(map(math.isfinite, coeffs)) or not math.isfinite(max(map(abs, nonzero)) / abs(nonzero[0])):
+        raise _unsolvable(row)
+    counted, inside = _root_count(_qplus_radii(p.t0, p.tL, p.tR, c))
+    if not counted:
+        raise PhaseBoundaryError("braiding degree: determinant vanishes on the momentum loop (root on |z| = 1)")
+    return 2 * int(inside) - 2
 
 
 def spectral_winding(p: ModelParams, E0: complex, grid: KGrid | None = None) -> int:
@@ -279,9 +334,12 @@ def spectral_winding_profile(
     ``grid`` samples the spectrum for the box and the skip rule. The skip
     rule is unchanged: a probe is skipped when its nearest sample is closer
     than ``tol = max(min_distance, SPECTRUM_DISTANCE_TOL)``. Only the samples
-    whose real part lies within ``2 tol`` of the probe's are measured, since
-    no other can be that close, so the decisions equal those of measuring
-    every sample. The windings of all evaluated probes come from one stacked
+    whose real and imaginary parts both lie within ``tol`` of the probe's are
+    measured, since no other can be that close (``|d| >= |Re d|, |Im d|``),
+    so the decisions equal those of measuring every sample. All probes are
+    measured in one pass, whose memory grows with ``n_re`` times the number
+    of samples, and with ``n_im`` times those within ``tol`` of a column's
+    real part. The windings of all evaluated probes come from one stacked
     root count (:func:`_root_radii`) and equal :func:`spectral_winding`'s;
     the first evaluated probe, real part major, that it rejects raises the
     same error. Negative ``n_re`` or ``n_im``, a ``pad`` that is not finite
@@ -310,17 +368,17 @@ def spectral_winding_profile(
         if not (np.all(np.isfinite(re_axis)) and np.all(np.isfinite(im_axis))):
             raise ValidationError(f"pad {pad} stretches the probe grid beyond the float range")
     tol = max(min_distance, SPECTRUM_DISTANCE_TOL)
-    spectrum = spectrum[np.argsort(spectrum.real)]
-    first = np.searchsorted(spectrum.real, re_axis - 2.0 * tol, side="left")
-    stop = np.searchsorted(spectrum.real, re_axis + 2.0 * tol, side="right")
     probes = np.empty((n_re, n_im), dtype=complex)
     probes.real = re_axis[:, None]
     probes.imag = im_axis
-    skip = np.zeros((n_re, n_im), dtype=bool)
-    for i in np.flatnonzero(first < stop):
-        near = spectrum[first[i]:stop[i], None]
-        skip[i] = np.min(np.abs(near - probes[i]), axis=0) < tol
-    probes, skip = probes.ravel(), skip.ravel()
+    # the pairs of a column i and a sample s with |Re d| < tol, then of those
+    # and a row j the ones with |Im d| < tol: no other pair can have |d| < tol
+    i, s = np.divmod(np.flatnonzero(np.abs(np.subtract.outer(re_axis, spectrum.real)) < tol), len(spectrum))
+    j, k = np.divmod(np.flatnonzero(np.abs(np.subtract.outer(im_axis, spectrum.imag[s])) < tol), len(s))
+    pair = i[k] * n_im + j  # the probe's index in the flat grid
+    probes = probes.ravel()
+    skip = np.zeros(len(probes), dtype=bool)
+    skip[pair[np.abs(spectrum[s[k]] - probes[pair]) < tol]] = True
     w = iter(_windings(p, probes[~skip]).tolist())
     return [(E0, None if s else next(w)) for E0, s in zip(probes.tolist(), skip.tolist())]
 
@@ -342,16 +400,24 @@ def band_resolved_winding(traj: BandTrajectories, E0: complex) -> list:
     out = []
     for loop in loops:
         gap = abs(loop[0] - loop[-1])
-        steps = np.abs(np.diff(loop))
-        tol = max(20.0 * np.median(steps), 1e-8 * np.max(np.abs(loop)))
+        step = _median(np.abs(np.diff(loop)))
+        tol = max(20.0 * step, 1e-8 * np.abs(loop).max())
         if gap > tol:
-            raise OpenTrajectoryError(
-                f"band trajectory does not close (gap {gap:.3e} vs step scale {np.median(steps):.3e})"
-            )
-        if np.min(np.abs(loop - E0)) < SPECTRUM_DISTANCE_TOL:
+            raise OpenTrajectoryError(f"band trajectory does not close (gap {gap:.3e} vs step scale {step:.3e})")
+        shifted = loop - E0
+        if np.abs(shifted).min() < SPECTRUM_DISTANCE_TOL:
             raise ReferenceOnSpectrumError(f"reference energy {E0} lies on a band loop")
-        out.append(int(round(winding_number(loop - E0))))
+        out.append(int(round(winding_number(shifted))))
     return out
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a non-empty real vector, bit for bit, by one partition: NaN if any entry is NaN."""
+    h = len(x) // 2
+    part = np.partition(x, (h - 1, h, -1) if len(x) % 2 == 0 else (h, -1))
+    if np.isnan(part[-1]):
+        return part[-1]
+    return part[h] if len(x) % 2 else (part[h - 1] + part[h]) / 2.0
 
 
 def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_TOL) -> np.ndarray:
@@ -362,13 +428,13 @@ def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_
     """
     if not 0.0 < tol < 1.0:
         raise ValidationError(f"exceptional-point tolerance must satisfy 0 < tol < 1, got {tol}")
-    grid = grid or KGrid()
-    e_plus, e_minus = analytic_eigenvalues(p, grid.values)
+    k = (grid or KGrid()).values
+    e_plus, e_minus = analytic_eigenvalues(p, k)
     gap = np.abs(e_plus - e_minus)
     scale = gap.max()
     if scale == 0.0:
-        return grid.values.copy()
-    return grid.values[gap < tol * scale]
+        return k
+    return k[gap < tol * scale]
 
 
 @dataclass
@@ -399,14 +465,15 @@ def compute_phase_diagram(
 ) -> PhaseDiagram:
     """Sweep the (tL, tR) plane at t0 = 1.
 
-    One stacked root count of the plane's braiding quartics gives every
-    cell's ``nu`` (sentinel where :func:`braiding_degree` rejects) and its
-    boundary residual. A cell is only the boundary-density contrast of an
-    open chain with ``chain_N`` sites, after raising the ``ValidationError``
-    of a quartic that cannot be solved. Cells go to a thread pool of
-    ``threads`` workers. The loaded OpenBLAS runs on one thread for the
-    length of the sweep, so the pool is its only parallelism and the output
-    does not depend on the pool width or the BLAS thread setting.
+    The roots of the plane's ``q+`` give every cell's ``nu`` (sentinel where
+    :func:`braiding_degree` rejects), and one stacked root count of its
+    quartics every boundary residual. A cell is only the boundary-density
+    contrast of an open chain with ``chain_N`` sites, after raising the
+    ``ValidationError`` of a quartic that cannot be solved. Cells go to a
+    thread pool of ``threads`` workers. The loaded OpenBLAS runs on one
+    thread for the length of the sweep, so the pool is its only parallelism
+    and the output does not depend on the pool width or the BLAS thread
+    setting.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not 0.0 <= lo < hi < np.inf:
@@ -442,7 +509,7 @@ def compute_phase_diagram(
             gamma.append(g)
             if progress is not None and len(gamma) % resolution == 0:
                 progress(len(gamma) // resolution, resolution)
-    counted, inside = _root_count(radii)
+    counted, inside = _root_count(_qplus_radii(1.0, tL, tR, dL.dot(dR)))
     # the middle pair of sorted radii defines the generalized Brillouin zone
     # (Yokomizo & Murakami, PRL 123, 066404 (2019)): for any dL and dR the
     # residual is positive exactly where nu = 0 (two roots inside |z| < 1)
@@ -450,5 +517,6 @@ def compute_phase_diagram(
     r = np.sort(radii, axis=1)
     res = -(r[:, 1] - 1.0) * (r[:, 2] - 1.0)
     shape = (resolution, resolution)
-    return PhaseDiagram(tL_axis=axis, tR_axis=axis.copy(), nu=np.where(counted, inside, NU_SENTINEL).reshape(shape),
+    nu = np.where(counted, 2 * inside - 2, NU_SENTINEL)
+    return PhaseDiagram(tL_axis=axis, tR_axis=axis.copy(), nu=nu.reshape(shape),
                         gamma=np.array(gamma).reshape(shape), boundary_residual=res.reshape(shape))

@@ -83,6 +83,19 @@ def greedy_continuity_sort(pairs):
     return bands.T.copy(), bool(swap), near
 
 
+def profile_axes(p, n_re, n_im, pad, grid):
+    """The sampled spectrum and the probe axes of ``spectral_winding_profile``."""
+    grid = grid or KGrid()
+    e_plus, e_minus = analytic_eigenvalues(p, grid.values)
+    spectrum = np.concatenate([e_plus, e_minus])
+    re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
+    im_lo, im_hi = spectrum.imag.min(), spectrum.imag.max()
+    re_pad = pad * (re_hi - re_lo)
+    im_pad = pad * (im_hi - im_lo)
+    re_axis = np.linspace(re_lo - re_pad, re_hi + re_pad, n_re)
+    return spectrum, re_axis, np.linspace(im_lo - im_pad, im_hi + im_pad, n_im)
+
+
 def winding_profile_loop(p, n_re=20, n_im=20, pad=0.0, grid=None, min_distance=1e-6):
     """``spectral_winding_profile``, one probe at a time.
 
@@ -92,22 +105,47 @@ def winding_profile_loop(p, n_re=20, n_im=20, pad=0.0, grid=None, min_distance=1
     gets its own :func:`spectral_winding` call, so the first probe that
     call rejects raises.
     """
-    grid = grid or KGrid()
-    e_plus, e_minus = analytic_eigenvalues(p, grid.values)
-    spectrum = np.concatenate([e_plus, e_minus])
-    re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
-    im_lo, im_hi = spectrum.imag.min(), spectrum.imag.max()
-    re_pad = pad * (re_hi - re_lo)
-    im_pad = pad * (im_hi - im_lo)
+    spectrum, re_axis, im_axis = profile_axes(p, n_re, n_im, pad, grid)
     out = []
-    for re in np.linspace(re_lo - re_pad, re_hi + re_pad, n_re):
-        for im in np.linspace(im_lo - im_pad, im_hi + im_pad, n_im):
+    for re in re_axis:
+        for im in im_axis:
             E0 = complex(re, im)
             if np.min(np.abs(spectrum - E0)) < max(min_distance, SPECTRUM_DISTANCE_TOL):
                 out.append((E0, None))
                 continue
             out.append((E0, spectral_winding(p, E0)))
     return out
+
+
+def profile_skips_by_column(p, n_re=20, n_im=20, pad=0.0, grid=None, min_distance=1e-6):
+    """Which probes ``spectral_winding_profile`` skips, flat and real part major, one column at a time.
+
+    The loop the one-pass skip rule replaced: the samples whose real part
+    lies within ``2 tol`` of a column's are each measured against every
+    probe of that column, ``tol = max(min_distance, SPECTRUM_DISTANCE_TOL)``.
+    """
+    spectrum, re_axis, im_axis = profile_axes(p, n_re, n_im, pad, grid)
+    tol = max(min_distance, SPECTRUM_DISTANCE_TOL)
+    spectrum = spectrum[np.argsort(spectrum.real)]
+    first = np.searchsorted(spectrum.real, re_axis - 2.0 * tol, side="left")
+    stop = np.searchsorted(spectrum.real, re_axis + 2.0 * tol, side="right")
+    probes = np.empty((n_re, n_im), dtype=complex)
+    probes.real = re_axis[:, None]
+    probes.imag = im_axis
+    skip = np.zeros((n_re, n_im), dtype=bool)
+    for i in np.flatnonzero(first < stop):
+        near = spectrum[first[i]:stop[i], None]
+        skip[i] = np.min(np.abs(near - probes[i]), axis=0) < tol
+    return skip.ravel()
+
+
+def two_exponential_eigenvalues(p, k):
+    """``analytic_eigenvalues`` as it was before it took ``e^{-ik}`` as the conjugate of ``e^{ik}``."""
+    k = np.asarray(k, dtype=float)
+    a = p.t0 + p.tR * np.exp(-1j * k)
+    b = p.tL * np.exp(1j * k)
+    e_plus = np.sqrt(a * a + b * b + 2.0 * a * b * p.dL.dot(p.dR))
+    return e_plus, -e_plus
 
 
 def random_unit_vector(rng):

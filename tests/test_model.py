@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import DL, DR, is_nonabelian, multiset_match, params, random_unit_vector
+from conftest import DL, DR, is_nonabelian, multiset_match, params, random_unit_vector, two_exponential_eigenvalues
 from nahn import (
     BoundaryCondition,
     GaugeVector,
+    KGrid,
     ModelParams,
     ValidationError,
     analytic_eigenvalues,
@@ -139,6 +140,18 @@ class TestAnalyticEigenvalues:
                 lams = eigvals2x2(bloch_hamiltonian(p, [k]))[0]
                 e_plus, e_minus = analytic_eigenvalues(p, k)
                 assert multiset_match(lams, [e_plus, e_minus]) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 1023, 1024, 4096])
+    def test_equal_to_two_exponentials(self, n):
+        # e^{-ik} as the conjugate of e^{ik} has the bits of the exponential of -ik
+        rng = np.random.default_rng(n)
+        ks = KGrid(n).values
+        for k in (ks, rng.uniform(-40.0, 40.0, n), float(ks[n // 3])):
+            for _ in range(4):
+                p = params(*rng.uniform(-3, 3, 3), random_unit_vector(rng), random_unit_vector(rng))
+                for got, ref in zip(analytic_eigenvalues(p, k), two_exponential_eigenvalues(p, k)):
+                    assert type(got) is type(ref)
+                    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 class TestRealSpaceHamiltonian:

@@ -6,7 +6,16 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import DR, params, phase_boundary_residual, random_unit_vector, winding_profile_loop
+from conftest import (
+    DL,
+    DR,
+    params,
+    phase_boundary_residual,
+    profile_axes,
+    profile_skips_by_column,
+    random_unit_vector,
+    winding_profile_loop,
+)
 from nahn import (
     EigensolverError,
     GaugeVector,
@@ -29,7 +38,7 @@ from nahn import (
 from nahn import topology
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.topology import NU_SENTINEL, _quartic, _root_radii, _zeros_inside
+from nahn.topology import NU_SENTINEL, _median, _qplus_radii, _quartic, _root_radii, _zeros_inside
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -100,6 +109,13 @@ class TestBraidingDegree:
             raw = winding_number(f)
             assert abs(raw - round(raw)) < 1e-10
 
+    def test_winding_number_equal_to_rolled_loop(self):
+        # the steps v[j+1] / v[j] by concatenation, against np.roll, bit for bit
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 17, 1024):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert winding_number(v) == float(np.sum(np.angle(np.roll(v, -1) / v)) / (2.0 * np.pi))
+
     def test_non_finite_samples_rejected(self, p1):
         H = bloch_hamiltonian(p1, KGrid(256).values)
         for bad in (np.nan, np.inf):
@@ -130,6 +146,22 @@ class TestBraidingDegree:
                       lambda: spectral_winding_profile(p, 3, 3)):
             with pytest.raises(ValidationError, match="amplitudes too"):
                 count()
+
+    @pytest.mark.parametrize("tL, tR", [(0.5, 0.5), (1.5, 1.5), (2.0, 2.0)])
+    def test_parallel_directions_on_boundary_rejected(self, tL, tR):
+        # dL = dR: P = q+^2, and q+ = tL z^2 + z + tR has its roots on |z| = 1 (a double root
+        # z = -1 at 0.5); a root count of the quartic read the odd -1 at 0.5 and 0 at the others
+        with pytest.raises(PhaseBoundaryError, match="root on"):
+            braiding_degree(params(1.0, tL, tR, dL=DR, dR=DR))
+
+    @pytest.mark.parametrize("t0, tL, tR, dL", [
+        (0.3, 1e-150, 1.0, DL), (0.3, 1e-170, 1.0, DR), (-1.0, 1e-170, 1e10, DR),
+    ])
+    def test_amplitudes_far_apart_in_scale(self, t0, tL, tR, dL):
+        # q+'s small root, near -tR / t0, is exact; the quartic's companion matrix loses it
+        # (it read 0, -1 and -1). The sampled loop is the oracle
+        p = params(t0, tL, tR, dL=dL)
+        assert braiding_degree(p) == -2 == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(4096).values))
 
     def test_identity_shift_invariance(self, p1):
         rng = np.random.default_rng(31)
@@ -272,24 +304,90 @@ class TestStackedRootRadii:
             _zeros_inside(np.array(rows, dtype=float), PhaseBoundaryError, lambda i: f"row {i}")
 
 
+class TestQuadraticFactor:
+    def test_equal_to_quartic_root_count(self):
+        # the braiding degree from q+ against the stacked kernel's count of P = q+ q-:
+        # equal nu or equal rejection, and q+'s radii, each twice, equal to P's
+        rng = np.random.default_rng(1)
+        worst = 0.0
+        for _ in range(2000):
+            t0, tL, tR = rng.uniform(0.05, 3.0, 3)
+            p = params(t0, tL, tR, random_unit_vector(rng), random_unit_vector(rng))
+            row = _quartic(t0, tL, tR, p.dL.dot(p.dR))
+            kernel = outcome(lambda: int(_zeros_inside(row[None], PhaseBoundaryError, lambda i: "braiding degree")[0]))
+            assert outcome(lambda: braiding_degree(p)) == kernel
+            radii = np.sort(np.repeat(_qplus_radii(t0, tL, tR, p.dL.dot(p.dR)), 2))
+            worst = max(worst, np.max(np.abs(radii - np.sort(_root_radii(row[None])[0]))))
+        assert worst <= 1e-13
+
+    def test_arrays_equal_to_scalars(self):
+        rng = np.random.default_rng(2)
+        tL, tR = rng.uniform(0.0, 3.0, (2, 200))
+        tL[:5] = 0.0
+        tR[3:8] = 0.0
+        for t0, c in ((1.0, 0.3), (-0.7, -1.0), (0.0, 1.0), (2.0, 1.0 + 1e-15)):
+            radii = _qplus_radii(t0, tL, tR, c)
+            assert radii.shape == (200, 2)
+            for i in range(200):
+                assert radii[i].tobytes() == _qplus_radii(t0, float(tL[i]), float(tR[i]), c).tobytes()
+
+    @pytest.mark.parametrize("t0, tL, tR, c, radii", [
+        (1.0, 0.0, 0.5, 0.0, [np.inf, 0.5]),  # one root at infinity
+        (1.0, 2.0, 0.0, 0.0, [0.5, 0.0]),  # a root at 0
+        (0.0, 0.0, 1.0, 0.0, [np.inf, np.inf]),  # q+ is constant
+        (0.0, 4.0, 1.0, 0.6, [0.5, 0.5]),  # tL z^2 + tR e^{i theta}
+        (0.0, 0.0, 0.0, 0.0, [np.nan, np.nan]),  # q+ vanishes identically
+        # z^2 + z + 1, whose roots are the cube roots of unity other than 1: the
+        # discriminant of the unscaled quadratic overflows
+        (1e154, 1e154, 1e154, 1.0, [1.0, 1.0]),
+    ])
+    def test_degenerate_quadratics(self, t0, tL, tR, c, radii):
+        np.testing.assert_allclose(_qplus_radii(t0, tL, tR, c), radii, rtol=1e-15)
+
+
+def random_profile_arguments(rng, cases=60):
+    """Arguments of ``spectral_winding_profile``: random models, some with a zero hopping, and random grids."""
+    shapes = [(1, 1), (0, 6), (6, 0), (9, 7), (4, 11)]
+    for case in range(cases):
+        p = random_general(rng)
+        if case % 5 == 1:
+            p = params(p.t0, 0.0, p.tR, p.dL, p.dR)
+        elif case % 5 == 2:
+            p = params(p.t0, p.tL, 0.0, p.dL, p.dR)
+        n_re, n_im = shapes[case % len(shapes)]
+        yield (p, n_re, n_im, float(rng.choice([0.0, 0.1, -0.2, 0.5])), KGrid(int(rng.choice([16, 256]))),
+               float(10.0 ** rng.uniform(-9, 0)))
+
+
 class TestWindingProfile:
     def test_equal_to_per_probe_loop_on_random_models(self):
-        rng = np.random.default_rng(17)
-        shapes = [(1, 1), (0, 6), (6, 0), (9, 7), (4, 11)]
         counted = 0
-        for case in range(60):
-            p = random_general(rng)
-            if case % 5 == 1:
-                p = params(p.t0, 0.0, p.tR, p.dL, p.dR)
-            elif case % 5 == 2:
-                p = params(p.t0, p.tL, 0.0, p.dL, p.dR)
-            n_re, n_im = shapes[case % len(shapes)]
-            args = (p, n_re, n_im, float(rng.choice([0.0, 0.1, -0.2, 0.5])), KGrid(int(rng.choice([16, 256]))),
-                    float(10.0 ** rng.uniform(-9, 0)))
+        for args in random_profile_arguments(np.random.default_rng(17)):
             got = outcome(lambda: spectral_winding_profile(*args))
             assert got == outcome(lambda: winding_profile_loop(*args))
             counted += isinstance(got, str)
         assert counted > 50
+
+    def test_skip_rule_equal_to_per_column_loop(self, monkeypatch):
+        # the one-pass skip rule against the per-column loop it replaced; with the windings
+        # stubbed no probe raises, so every case shows its skips
+        monkeypatch.setattr(topology, "_windings", lambda p, E0: np.zeros(len(E0), dtype=int))
+        cases = list(random_profile_arguments(np.random.default_rng(17)))
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            p, grid = random_general(rng), KGrid(int(rng.choice([16, 128])))
+            spectrum, re_axis, im_axis = profile_axes(p, 7, 5, 0.1, grid)
+            d = float(np.min(np.abs(spectrum - complex(re_axis[3], im_axis[2]))))
+            for min_distance in (0.0, d, np.nextafter(d, np.inf), 1e300, np.inf):
+                cases.append((p, 7, 5, 0.1, grid, min_distance))
+            for n_re, n_im, pad in ((1, 1, 0.0), (3, 1, -0.2), (1, 4, 1e-3), (5, 5, -1.0)):
+                cases.append((p, n_re, n_im, pad, grid, 0.3))
+        skipped = 0
+        for args in cases:
+            got = [w is None for _, w in spectral_winding_profile(*args)]
+            assert got == profile_skips_by_column(*args).tolist()
+            skipped += sum(got)
+        assert skipped > 100
 
     def test_probe_exactly_at_tolerance(self):
         # min_distance equal to a probe's nearest-sample distance evaluates it,
@@ -377,6 +475,21 @@ class TestBandResolvedWinding:
     def test_non_finite_reference_rejected(self, p3, E0):
         with pytest.raises(ValidationError, match="E0"):
             band_resolved_winding(tracked(p3, 64), E0)
+
+    @pytest.mark.parametrize("n", [16, 17, 1024, 1025])
+    def test_step_median_equal_to_numpy(self, n):
+        # a loop of n points has n - 1 steps: odd and even counts, also with ties, inf and NaN
+        rng = np.random.default_rng(n)
+        steps = [np.abs(np.diff(band)) for band in tracked(random_general(rng), n).bands]
+        steps += [np.round(rng.uniform(0, 3, n - 1), 1), rng.standard_normal(n - 1), rng.standard_normal(n)]
+        for x in steps[-3:]:
+            for bad in (np.inf, -np.inf, np.nan):
+                y = x.copy()
+                y[rng.integers(len(y), size=2)] = bad
+                steps.append(y)
+        for x in steps:
+            got, ref = _median(x), np.median(x)
+            assert type(got) is type(ref) and np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
     def test_open_trajectory_rejected(self):
         ks = KGrid(64).values
@@ -581,6 +694,15 @@ class TestPhaseDiagram:
         assert diagram.boundary_residual.tobytes() == np.array(residual).tobytes()
         if dL == DR:
             assert diagram.nu[1, 1] == NU_SENTINEL
+
+    def test_parallel_directions_sentinel_on_diagonal(self):
+        # dL = dR: q+ = tL z^2 + z + tR has roots on |z| = 1 where tL = tR >= 1/2 or tL + tR = 1,
+        # on this plane the diagonal; a root count of the quartic read -1 at cell (0, 0) and 0
+        # further along it
+        diagram = compute_phase_diagram((0.0, 4.0), 8, chain_N=4, dL=DR, dR=DR)
+        diagonal = np.eye(8, dtype=bool)
+        assert np.array_equal(diagram.nu == NU_SENTINEL, diagonal)
+        assert set(diagram.nu[~diagonal].tolist()) <= {-2, 0, 2}
 
     def test_failed_cell_solve_reads_nan(self, monkeypatch):
         # a cell whose open-chain solve raises a NumericalError gets gamma NaN; no other value changes
