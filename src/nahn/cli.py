@@ -214,10 +214,11 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
     densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
     report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
     order = _canonical_order(shown)
+    units = {"eigenvalue_units": "dimensionless"} if drive is None else {"omega_rad_s": drive, "eigenvalue_units": "nF"}
     header = build_header(
         eff,
         chain_N=N,
-        eigenvalue_units="dimensionless" if drive is None else "nF",
+        **units,
         gamma=report.gamma,
         bipolar=report.bipolar,
         window_fraction=cfg.window_fraction,

@@ -12,11 +12,13 @@ The model's ``P`` factors: with ``cos(theta) = dL.dR`` it is ``q+ q-``,
 ``q+-(z) = tL z^2 + e^{+-i theta} (t0 z + tR)``. The amplitudes are real, so
 the roots of ``q-`` are the conjugates of those of ``q+``, and the braiding
 degree is ``nu = 2 n+ - 2``, where ``n+`` counts the roots of ``q+`` inside
-the circle (:func:`_qplus_radii`). ``w(E0)`` and the phase diagram's
-boundary residual count the roots of quartics with one stacked kernel
-(:func:`_root_radii`). Loops given as samples (measured or circuit loci) are
-wound by accumulating the phase differences of their determinants, each
-step bounded by pi in magnitude.
+the circle (:func:`_qplus_radii`). The same two radii give the phase
+diagram's boundary residual. ``E0^2 z^2 - P(z)`` does not factor, so
+``w(E0)`` counts the roots of quartics with one stacked kernel
+(:func:`_root_radii`), and refuses a quartic whose solved radii miss the
+product that Vieta's formulas give them. Loops given as samples (measured
+or circuit loci) are wound by accumulating the phase differences of their
+determinants, each step bounded by pi in magnitude.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ DEFAULT_KPOINTS = 1024
 
 #: Distance from ``|z| = 1`` within which a root puts a determinant zero on the loop.
 ROOT_CIRCLE_TOL = 1e-9
+
+#: Largest log mismatch between a quartic's solved root radii and their product by Vieta's formulas.
+VIETA_LOG_TOL = 1e-6
 
 #: Relative floor below which a determinant sample counts as a zero hit.
 DET_ZERO_TOL = 1e-12
@@ -114,23 +119,24 @@ def braiding_degree_of_samples(H_samples) -> int:
 
 
 def _quartic(t0, tL, tR, c: float) -> np.ndarray:
-    """Coefficients, highest power first, of ``P(z) = -z^2 det H(k)`` at ``z = e^{ik}``, ``c = dL.dR``.
-
-    Arrays ``tL``, ``tR`` give one row per pair, each equal to its scalar row bit for bit.
-    """
+    """Coefficients, highest power first, of ``P(z) = -z^2 det H(k)`` at ``z = e^{ik}``, ``c = dL.dR``."""
     return np.array([
         tL * tL,
         2.0 * c * tL * t0,
         t0 * t0 + 2.0 * c * tL * tR,
         2.0 * t0 * tR,
         tR * tR,
-    ]).T
+    ])
 
 
 #: Radii of a quartic's roots before the companion solve, by its count of leading
 #: zero coefficients: np.roots's zero root for each trailing zero coefficient, and
 #: ``inf`` for each root that a zero leading coefficient sends to infinity.
 _TRIMMED_RADII = np.where(np.arange(4) < np.arange(4, -1, -1)[:, None], 0.0, np.inf)
+
+
+#: Which of the four radii of :func:`_root_radii` are roots of the trimmed polynomial, by its degree.
+_TRIMMED_ROOTS = np.arange(4) < np.arange(5)[:, None]
 
 
 def _root_radii(rows: np.ndarray) -> np.ndarray:
@@ -191,19 +197,6 @@ def _require_finite(coeffs: np.ndarray) -> None:
         raise ValidationError(f"amplitudes too large: polynomial coefficients {coeffs.tolist()} are not finite")
 
 
-def _unsolvable(coeffs: np.ndarray) -> ValidationError:
-    """The error of a quartic row whose roots cannot be found: raised here if a coefficient is not finite,
-    returned if they are too far apart in scale."""
-    _require_finite(coeffs)
-    return ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {coeffs.tolist()}")
-
-
-def _require_solved(coeffs: np.ndarray, radii: np.ndarray) -> None:
-    """Raise ``ValidationError`` when :func:`_root_radii` could not solve the row ``coeffs``."""
-    if np.isnan(radii[0]):
-        raise _unsolvable(coeffs)
-
-
 def _qplus_radii(t0: float, tL, tR, c: float) -> np.ndarray:
     """``|z|`` of the two roots of ``q+(z) = tL z^2 + e^{i theta} (t0 z + tR)``, ``cos(theta) = c``, on the last axis.
 
@@ -241,15 +234,28 @@ def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
     as a loop over the rows would: ``error`` when its polynomial vanishes
     identically or has a root within ``ROOT_CIRCLE_TOL`` of the unit circle
     (the determinant then vanishes on the loop), ``ValidationError`` when its
-    roots cannot be found. ``what(i)`` names row ``i`` in the message.
+    roots cannot be found. They cannot when :func:`_root_radii` leaves the
+    row unsolved, or when the product of its solved radii misses Vieta's
+    ``|a_last / a_first|`` of its trimmed coefficients by more than
+    ``VIETA_LOG_TOL`` in log: the companion matrix of coefficients far apart
+    in scale loses the small roots. ``what(i)`` names row ``i`` in the message.
     """
     radii = _root_radii(rows)
     counted, inside = _root_count(radii)
-    if not counted.all():
-        i = counted.argmin()
+    nonzero = rows != 0
+    first, last = nonzero.argmax(axis=1), 4 - nonzero[:, ::-1].argmax(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing row, a root solved as 0, non-finite rows
+        ends = np.log(np.abs(rows[np.arange(len(rows)), np.array([first, last])]))
+        log_radii = np.log(radii, out=np.zeros_like(radii), where=_TRIMMED_ROOTS[last - first])
+        solved = np.abs(log_radii.sum(axis=1) - (ends[1] - ends[0])) <= VIETA_LOG_TOL
+    countable = counted & solved
+    if not countable.all():
+        i = countable.argmin()
         if not rows[i].any():
             raise error(f"{what(i)}: determinant vanishes identically")
-        _require_solved(rows[i], radii[i])
+        if not solved[i]:
+            _require_finite(rows[i])
+            raise ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {rows[i].tolist()}")
         raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
     return inside - 2
 
@@ -285,23 +291,18 @@ def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
     ``grid`` is unused; it is accepted so that callers passing one keep
     working. A root of ``q+`` within ``ROOT_CIRCLE_TOL`` of ``|z| = 1`` (a
     determinant zero on the loop) signals a phase boundary and raises
-    ``PhaseBoundaryError``, as does a quartic ``P`` that vanishes
-    identically. ``P``'s coefficients must be finite and close enough in
-    scale for its companion matrix, as for :func:`spectral_winding`, or
-    ``ValidationError`` is raised.
+    ``PhaseBoundaryError``, as does a ``q+`` that vanishes identically (all
+    three amplitudes 0). ``P``'s coefficients must be finite, as for
+    :func:`spectral_winding`, or ``ValidationError`` is raised: amplitudes
+    whose squares overflow also overflow the Bloch bands.
     """
     c = p.dL.dot(p.dR)
-    row = _quartic(p.t0, p.tL, p.tR, c)
-    coeffs = row.tolist()
-    if not any(coeffs):
-        raise PhaseBoundaryError("braiding degree: determinant vanishes identically")
-    nonzero = [x for x in coeffs if x]
-    # a coefficient that is not finite, or a companion ratio of _root_radii that overflows
-    if not all(map(math.isfinite, coeffs)) or not math.isfinite(max(map(abs, nonzero)) / abs(nonzero[0])):
-        raise _unsolvable(row)
-    counted, inside = _root_count(_qplus_radii(p.t0, p.tL, p.tR, c))
+    _require_finite(_quartic(p.t0, p.tL, p.tR, c))
+    radii = _qplus_radii(p.t0, p.tL, p.tR, c)
+    counted, inside = _root_count(radii)
     if not counted:
-        raise PhaseBoundaryError("braiding degree: determinant vanishes on the momentum loop (root on |z| = 1)")
+        where = "identically" if np.isnan(radii[0]) else "on the momentum loop (root on |z| = 1)"
+        raise PhaseBoundaryError(f"braiding degree: determinant vanishes {where}")
     return 2 * int(inside) - 2
 
 
@@ -465,15 +466,13 @@ def compute_phase_diagram(
 ) -> PhaseDiagram:
     """Sweep the (tL, tR) plane at t0 = 1.
 
-    The roots of the plane's ``q+`` give every cell's ``nu`` (sentinel where
-    :func:`braiding_degree` rejects), and one stacked root count of its
-    quartics every boundary residual. A cell is only the boundary-density
-    contrast of an open chain with ``chain_N`` sites, after raising the
-    ``ValidationError`` of a quartic that cannot be solved. Cells go to a
-    thread pool of ``threads`` workers. The loaded OpenBLAS runs on one
-    thread for the length of the sweep, so the pool is its only parallelism
-    and the output does not depend on the pool width or the BLAS thread
-    setting.
+    The two root radii of the plane's ``q+`` give every cell's ``nu``
+    (sentinel where :func:`braiding_degree` rejects) and its boundary
+    residual. A cell is only the boundary-density contrast of an open chain
+    with ``chain_N`` sites. Cells go to a thread pool of ``threads``
+    workers. The loaded OpenBLAS runs on one thread for the length of the
+    sweep, so the pool is its only parallelism and the output does not
+    depend on the pool width or the BLAS thread setting.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not 0.0 <= lo < hi < np.inf:
@@ -481,9 +480,10 @@ def compute_phase_diagram(
     if resolution < 8:
         raise ValidationError(f"resolution must be >= 8, got {resolution}")
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
-    # smaller hoppings square to subnormals, whose companion ratios overflow
-    # (_root_radii leaves the row unsolved), or to 0, which sends roots of P
-    # to infinity, where the residual's middle pair must not lie
+    # q+'s larger root is about 1 / tL: it overflows near tL = 5e-309, and is
+    # infinite at tL = 0, where the residual would not be finite; the floor
+    # keeps well above that, where the squares of the hoppings (the
+    # coefficients of P) are still normal floats
     floor = np.sqrt(np.finfo(float).tiny)
     if axis[0] < floor:
         raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")
@@ -491,11 +491,8 @@ def compute_phase_diagram(
         raise ValidationError(f"threads must be >= 1, got {threads}")
 
     tL, tR = np.repeat(axis, resolution), np.tile(axis, resolution)
-    with np.errstate(over="ignore"):  # as Python floats square: to inf, rejected by the cell
-        rows = _quartic(1.0, tL, tR, dL.dot(dR))
 
-    def cell(row, radii, tL, tR):
-        _require_solved(row, radii)
+    def cell(tL, tR):
         p = ModelParams(t0=1.0, tL=tL, tR=tR, dL=dL, dR=dR)
         try:
             return skin.gamma(skin.densities_from_eigenvectors(skin.obc_eigenstates(p, chain_N).right_eigenvectors))
@@ -504,18 +501,18 @@ def compute_phase_diagram(
 
     gamma = []
     with _single_threaded_blas(), ThreadPoolExecutor(max_workers=threads) as pool:
-        radii = _root_radii(rows)
-        for g in pool.map(cell, rows, radii, tL.tolist(), tR.tolist()):
+        for g in pool.map(cell, tL.tolist(), tR.tolist()):
             gamma.append(g)
             if progress is not None and len(gamma) % resolution == 0:
                 progress(len(gamma) // resolution, resolution)
-    counted, inside = _root_count(_qplus_radii(1.0, tL, tR, dL.dot(dR)))
-    # the middle pair of sorted radii defines the generalized Brillouin zone
-    # (Yokomizo & Murakami, PRL 123, 066404 (2019)): for any dL and dR the
-    # residual is positive exactly where nu = 0 (two roots inside |z| < 1)
-    # and changes sign wherever a root crosses the circle
-    r = np.sort(radii, axis=1)
-    res = -(r[:, 1] - 1.0) * (r[:, 2] - 1.0)
+    radii = _qplus_radii(1.0, tL, tR, dL.dot(dR))
+    counted, inside = _root_count(radii)
+    # P's sorted radii are q+'s two, each twice, so its middle pair, which
+    # defines the generalized Brillouin zone (Yokomizo & Murakami, PRL 123,
+    # 066404 (2019)), is q+'s pair: for any dL and dR the residual is
+    # positive exactly where nu = 0 (one root of q+ inside |z| < 1) and
+    # changes sign wherever a root crosses the circle
+    res = -(radii.min(axis=1) - 1.0) * (radii.max(axis=1) - 1.0)
     shape = (resolution, resolution)
     nu = np.where(counted, 2 * inside - 2, NU_SENTINEL)
     return PhaseDiagram(tL_axis=axis, tR_axis=axis.copy(), nu=nu.reshape(shape),

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import nahn
-from nahn import cli
-from nahn.circuit import NF
+from nahn import KGrid, bloch_hamiltonian, braiding_degree_of_samples, cli
+from nahn.circuit import NF, circuit_blocks
 from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
-from nahn.eigensolve import _openblas_thread_controls
+from nahn.eigensolve import _openblas_thread_controls, chain_eig
 from nahn.output import _sanitize, write_report, write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -460,6 +460,23 @@ class TestSkinCommand:
         report = json.loads((tmp_path / "fig4abc.report.json").read_text())
         assert report["counts"] == {"Left": 0, "Right": 94, "Extended": 0}
 
+    @pytest.mark.parametrize("recipe", ["fig4abc", "fig4def"])
+    def test_drive_restores_siemens(self, tmp_path, recipe):
+        # the header's drive times 1j * NF turns the nF eigenvalues back into the solver's siemens
+        out = tmp_path / "skin.csv"
+        assert main(["skin", "--config", str(RECIPES / f"{recipe}.cfg"), "--out", str(out)]) == 0
+        header, _, data = read_csv(out)
+        assert header["eigenvalue_units"] == "nF"
+        cfg = load_config(RECIPES / f"{recipe}.cfg")
+        assert header["omega_rad_s"] == cfg.circuit.drive_frequency()
+        drive, N = header["omega_rad_s"], header["chain_N"]
+        shown = (data["re_E"] + 1j * data["im_E"])[::N]  # the first site's row of each state
+        siemens = chain_eig(*circuit_blocks(cfg.circuit, drive, not cfg.zero_r0), N).eigenvalues
+        in_nF = siemens / (1j * drive * NF)
+        siemens = siemens[np.lexsort((in_nF.imag, in_nF.real))]  # the rows' canonical order
+        scale = np.abs(siemens).max()
+        np.testing.assert_allclose(shown * (1j * drive * NF), siemens, rtol=1e-14, atol=1e-14 * scale)
+
     def test_bipolar_circuit_recipe(self, tmp_path):
         out = tmp_path / "fig4def.csv"
         assert main(["skin", "--config", str(RECIPES / "fig4def.cfg"), "--out", str(out)]) == 0
@@ -581,21 +598,34 @@ SWEEP_CFG = "t0 = 1.0\ntL = 1.0\ntR = 1.0\ndL = [0,0,1]\ndR = [1,0,0]\nt_min = 0
 
 
 class TestOutOfRangeAmplitudes:
-    # squares of the amplitudes overflow, turn subnormal, or lie so far apart
-    # that the quartic's companion matrix overflows
+    # squares of the amplitudes overflow
     @pytest.mark.parametrize("command, text", [
         ("spectrum", MODEL_CFG.replace("tL = 1.0", "tL = 1e160")),
-        ("spectrum", MODEL_CFG.replace("tL = 1.0", "tL = 1e-160")),
-        ("spectrum", MODEL_CFG.replace("t0 = 1.0", "t0 = 1e10").replace("tL = 1.0", "tL = 1e-150")),
         ("phase-diagram", SWEEP_CFG + "t_max = 1e160\n"),
         ("spectrum", OPEN_CFG.replace("tL = 1.0", "tL = 1e160")),
         ("skin", OPEN_CFG.replace("tL = 1.0", "tL = 1e160")),
-    ], ids=["tL-1e160", "tL-1e-160", "t0-1e10-tL-1e-150", "sweep-t_max-1e160", "open-tL-1e160", "skin-tL-1e160"])
+    ], ids=["tL-1e160", "sweep-t_max-1e160", "open-tL-1e160", "skin-tL-1e160"])
     def test_config_error(self, tmp_path, command, text, capsys):
         out = tmp_path / "x.csv"
         assert main([command, "--config", str(write_cfg(tmp_path, text)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: amplitudes too ")
         assert not out.exists()
+
+    # amplitudes whose squares turn subnormal, or lie far apart in scale: the
+    # quartic's companion matrix overflows or loses roots, but q+ is exact
+    @pytest.mark.parametrize("text", [
+        MODEL_CFG.replace("tL = 1.0", "tL = 1e-160"),
+        MODEL_CFG.replace("t0 = 1.0", "t0 = 1e10").replace("tL = 1.0", "tL = 1e-150"),
+    ], ids=["tL-1e-160", "t0-1e10-tL-1e-150"])
+    def test_small_amplitudes_counted(self, tmp_path, text):
+        out, path = tmp_path / "x.csv", write_cfg(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["spectrum", "--config", str(path), "--out", str(out)]) == 0
+        header, _, data = read_csv(out)
+        samples = bloch_hamiltonian(load_config(path).model, KGrid(65536).values)
+        assert header["nu"] == braiding_degree_of_samples(samples)
+        assert all(np.isfinite(column).all() for column in data.values())
 
 
 class TestOutOfRangeCircuitValues:

@@ -54,7 +54,13 @@ def bisect_boundary(tL, lo, hi, iterations=60):
 
 
 def boundary_residual(p):
-    """The sweep's boundary residual of one model: ``-(r_(2) - 1)(r_(3) - 1)`` of its sorted root radii."""
+    """The sweep's boundary residual of one model: ``-(r_min - 1)(r_max - 1)`` of the root radii of its ``q+``."""
+    r = _qplus_radii(p.t0, p.tL, p.tR, p.dL.dot(p.dR))
+    return -(r.min() - 1.0) * (r.max() - 1.0)
+
+
+def kernel_boundary_residual(p):
+    """The same residual from the stacked kernel: ``-(r_(2) - 1)(r_(3) - 1)`` of the sorted root radii of ``P``."""
     r = np.sort(_root_radii(_quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))[None])[0])
     return -(r[1] - 1.0) * (r[2] - 1.0)
 
@@ -139,11 +145,16 @@ class TestBraidingDegree:
 
     @pytest.mark.parametrize("t0, tL", [(1.0, 1e160), (1.0, 1e-160), (1e10, 1e-150)])
     def test_out_of_range_amplitudes_rejected(self, t0, tL):
-        # the quartic's coefficients overflow, or the companion matrix does;
-        # TestPhaseDiagram.test_unsolvable_cell_raises_before_its_chain covers the sweep
+        # the quartic's coefficients overflow, or its companion matrix does or loses
+        # its small roots; q+ is exact at the small amplitudes, so braiding_degree
+        # counts them as the sampled loop does
         p = params(t0, tL, 3.0)
-        for count in (lambda: braiding_degree(p), lambda: spectral_winding(p, 0.5j),
-                      lambda: spectral_winding_profile(p, 3, 3)):
+        counts = [lambda: spectral_winding(p, 0.5j), lambda: spectral_winding_profile(p, 3, 3)]
+        if tL > 1.0:
+            counts.append(lambda: braiding_degree(p))
+        else:
+            assert braiding_degree(p) == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(65536).values))
+        for count in counts:
             with pytest.raises(ValidationError, match="amplitudes too"):
                 count()
 
@@ -156,12 +167,14 @@ class TestBraidingDegree:
 
     @pytest.mark.parametrize("t0, tL, tR, dL", [
         (0.3, 1e-150, 1.0, DL), (0.3, 1e-170, 1.0, DR), (-1.0, 1e-170, 1e10, DR),
+        (1.0, 1e-160, 3.0, DL), (1e10, 1e-150, 1.0, DL),
     ])
     def test_amplitudes_far_apart_in_scale(self, t0, tL, tR, dL):
         # q+'s small root, near -tR / t0, is exact; the quartic's companion matrix loses it
-        # (it read 0, -1 and -1). The sampled loop is the oracle
+        # (the first three read 0, -1 and -1 where the loop winds -2; the last two were
+        # rejected as too far apart in scale). The sampled loop is the oracle
         p = params(t0, tL, tR, dL=dL)
-        assert braiding_degree(p) == -2 == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(4096).values))
+        assert braiding_degree(p) == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(65536).values))
 
     def test_identity_shift_invariance(self, p1):
         rng = np.random.default_rng(31)
@@ -237,6 +250,14 @@ class TestSpectralWinding:
         with pytest.raises(ValidationError, match="E0"):
             spectral_winding(p3, E0)
 
+    @pytest.mark.parametrize("E0", [0.0, 0.1j, 0.5 + 0.2j])
+    def test_amplitudes_far_apart_in_scale_rejected(self, E0):
+        # the companion matrix of E0^2 z^2 - P loses its roots near |z| = 3.33 (the count
+        # read 0 where the sampled determinant winds -2); the solved radii then miss
+        # Vieta's product, so the count refuses the row
+        with pytest.raises(ValidationError, match="too far apart in scale"):
+            spectral_winding(params(0.3, 1e-150, 1.0), E0)
+
     def test_direction_reversal_negates(self, p3):
         E0 = -2.0 + 0.0j
         H = bloch_hamiltonian(p3, KGrid(512).values) - E0 * np.eye(2)
@@ -297,6 +318,8 @@ class TestStackedRootRadii:
         ([[1, 0, -4.25, 0, 1], [np.inf, 0, 1, 0, 1], [1, 0, -5, 0, 4]], ValidationError, "amplitudes too large"),
         ([[1, 0, -4.25, 0, 1], [1e-320, 0, 1, 0, 1], [0, 0, 0, 0, 0]], ValidationError, "too far apart"),
         ([[1, 0, -4.25, 0, 1], [0, 0, 0, 0, 0], [1e-320, 0, 1, 0, 1]], PhaseBoundaryError, "row 1: .* identically"),
+        # solved, but the radii's product misses |a_last / a_first| = 1e300: the small roots are lost
+        ([[1, 0, -4.25, 0, 1], [1e-300, 0, 0.09, 0.6, 1], [0, 0, 0, 0, 0]], ValidationError, "too far apart"),
     ])
     def test_first_failing_row_raises(self, rows, error, message):
         # the first row has roots at |z| = 2 and 1/2, (z^2 - 1)(z^2 - 4) has two on the circle
@@ -679,9 +702,10 @@ class TestPhaseDiagram:
         "dL", [GaugeVector(0.0, 0.0, 1.0), GaugeVector(0.6, 0.0, 0.8), DR], ids=["c=0", "c=0.6", "dL=dR"]
     )
     def test_equal_to_per_cell_invariants(self, dL, threads):
-        # the plane's stacked root count against each cell's own braiding_degree and residual
+        # the plane's q+ radii against each cell's own braiding_degree and scalar q+ residual,
+        # bit for bit; the stacked kernel's residual of P is an independent oracle
         diagram = compute_phase_diagram((0.0, 4.0), 8, chain_N=4, dL=dL, dR=DR, threads=threads)
-        nu, residual = [], []
+        nu, residual, kernel = [], [], []
         for tL in diagram.tL_axis.tolist():
             for tR in diagram.tR_axis.tolist():
                 p = params(1.0, tL, tR, dL, DR)
@@ -690,8 +714,14 @@ class TestPhaseDiagram:
                 except PhaseBoundaryError:
                     nu.append(NU_SENTINEL)
                 residual.append(boundary_residual(p))
+                kernel.append(kernel_boundary_residual(p))
         assert diagram.nu.tolist() == np.reshape(nu, (8, 8)).tolist()
         assert diagram.boundary_residual.tobytes() == np.array(residual).tobytes()
+        kernel = np.reshape(kernel, (8, 8))
+        # a sentinel cell has a root on |z| = 1 and a residual of rounding size, whose sign neither solve fixes
+        accepted = diagram.nu != NU_SENTINEL
+        assert np.array_equal(np.sign(diagram.boundary_residual[accepted]), np.sign(kernel[accepted]))
+        assert np.max(np.abs(diagram.boundary_residual - kernel)) <= 1e-12
         if dL == DR:
             assert diagram.nu[1, 1] == NU_SENTINEL
 
@@ -724,31 +754,34 @@ class TestPhaseDiagram:
         assert diagram.boundary_residual.tobytes() == reference.boundary_residual.tobytes()
 
     def test_one_stacked_root_count_per_plane(self, monkeypatch):
+        # one solve of the plane's q+ gives nu and the residual; the quartic kernel is not called
         calls = []
 
-        def counted(rows):
-            calls.append(len(rows))
-            return _root_radii(rows)
+        def counted(t0, tL, tR, c):
+            calls.append(np.shape(tL))
+            return _qplus_radii(t0, tL, tR, c)
 
-        def per_cell(*args):
-            raise AssertionError("the sweep counts no single cell")
+        def not_called(*args):
+            raise AssertionError("the sweep counts no single cell and solves no quartic")
 
-        monkeypatch.setattr(topology, "_root_radii", counted)
-        monkeypatch.setattr(topology, "braiding_degree", per_cell)
+        monkeypatch.setattr(topology, "_qplus_radii", counted)
+        monkeypatch.setattr(topology, "_root_radii", not_called)
+        monkeypatch.setattr(topology, "braiding_degree", not_called)
         compute_phase_diagram((0.0, 2.0), 9, chain_N=4, threads=2)
-        assert calls == [81]
+        assert calls == [(81,)]
 
     @pytest.mark.parametrize("resolution, t_max, message", [
         (8, 8e154, "the squared norm of the 12x12 open chain is not finite"),
-        (8, 1.2e155, "polynomial coefficients [inf, 0.0, 1.0, 3e+154, inf] are not finite"),
-        (8, 1e160, "polynomial coefficients [inf, 0.0, 1.0, 2.5e+159, inf] are not finite"),
+        (8, 1.2e155, "the squared norm of the 12x12 open chain is not finite"),
+        (8, 1e160, "the squared norm of the 12x12 open chain is not finite"),
         (50, 8e154, "the squared norm of the 12x12 open chain is not finite"),
         (50, 1.2e155, "the squared norm of the 12x12 open chain is not finite"),
-        (50, 1e160, "polynomial coefficients [inf, 0.0, 1.0, 4e+158, inf] are not finite"),
+        (50, 1e160, "the squared norm of the 12x12 open chain is not finite"),
     ])
     def test_unsolvable_cell_raises_before_its_chain(self, resolution, t_max, message):
-        # a cell whose quartic overflows raises that, not its chain's overflow;
-        # the first cell of the plane fails, so no row is reported before the error
+        # the sweep builds no quartic: a cell whose amplitudes overflow raises its
+        # chain's overflow; the first cell of the plane fails, so no row is reported
+        # before the error
         seen = []
         with pytest.raises(ValidationError) as info:
             compute_phase_diagram((0.0, t_max), resolution, chain_N=6, progress=lambda done, total: seen.append(done))
