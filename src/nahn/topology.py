@@ -135,11 +135,13 @@ def _quartic(t0, tL, tR, c: float) -> np.ndarray:
 _TRIMMED_RADII = np.where(np.arange(4) < np.arange(4, -1, -1)[:, None], 0.0, np.inf)
 
 
-#: Which of the four radii of :func:`_root_radii` are roots of the trimmed polynomial, by its degree.
-_TRIMMED_ROOTS = np.arange(4) < np.arange(5)[:, None]
+def _trimming(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per quartic row: the index of its first nonzero coefficient and one past its last, np.roots's trimming."""
+    nonzero = rows != 0
+    return nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
 
 
-def _root_radii(rows: np.ndarray) -> np.ndarray:
+def _root_radii(rows: np.ndarray, trimming: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """``|z|`` of the roots of each quartic row (coefficients highest power first), shape ``(m, 4)``.
 
     Row ``i`` holds ``np.abs(np.roots(rows[i]))`` bit for bit, with its
@@ -151,11 +153,9 @@ def _root_radii(rows: np.ndarray) -> np.ndarray:
     finite (an amplitude near ``1e154`` or above squares to ``inf``) or
     whose companion matrix is not (a leading coefficient so small against
     the others that their ratio overflows), or whose eigenvalues do not
-    converge.
+    converge. ``trimming`` is the rows' :func:`_trimming`, if already known.
     """
-    nonzero = rows != 0
-    lead = nonzero.argmax(axis=1)
-    stop = 5 - nonzero[:, ::-1].argmax(axis=1)
+    lead, stop = _trimming(rows) if trimming is None else trimming
     radii = _TRIMMED_RADII[lead]
     unsolved = ~np.isfinite(rows).all(axis=1)
     groups = set(zip(lead.tolist(), stop.tolist()))
@@ -240,13 +240,13 @@ def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
     ``VIETA_LOG_TOL`` in log: the companion matrix of coefficients far apart
     in scale loses the small roots. ``what(i)`` names row ``i`` in the message.
     """
-    radii = _root_radii(rows)
+    lead, stop = _trimming(rows)
+    radii = _root_radii(rows, (lead, stop))
     counted, inside = _root_count(radii)
-    nonzero = rows != 0
-    first, last = nonzero.argmax(axis=1), 4 - nonzero[:, ::-1].argmax(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # a vanishing row, a root solved as 0, non-finite rows
-        ends = np.log(np.abs(rows[np.arange(len(rows)), np.array([first, last])]))
-        log_radii = np.log(radii, out=np.zeros_like(radii), where=_TRIMMED_ROOTS[last - first])
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero radii, a vanishing row, non-finite rows
+        log_radii = np.log(radii)
+        log_radii[np.arange(4) >= (stop - lead - 1)[:, None]] = 0.0  # only the trimmed polynomial's roots
+        ends = np.log(np.abs(rows[np.arange(len(rows)), np.array([lead, stop - 1])]))
         solved = np.abs(log_radii.sum(axis=1) - (ends[1] - ends[0])) <= VIETA_LOG_TOL
     countable = counted & solved
     if not countable.all():
@@ -482,8 +482,7 @@ def compute_phase_diagram(
     axis = lo + (hi - lo) * (np.arange(resolution) + 1) / resolution
     # q+'s larger root is about 1 / tL: it overflows near tL = 5e-309, and is
     # infinite at tL = 0, where the residual would not be finite; the floor
-    # keeps well above that, where the squares of the hoppings (the
-    # coefficients of P) are still normal floats
+    # keeps well above that
     floor = np.sqrt(np.finfo(float).tiny)
     if axis[0] < floor:
         raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")

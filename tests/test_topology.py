@@ -171,10 +171,11 @@ class TestBraidingDegree:
     ])
     def test_amplitudes_far_apart_in_scale(self, t0, tL, tR, dL):
         # q+'s small root, near -tR / t0, is exact; the quartic's companion matrix loses it
-        # (the first three read 0, -1 and -1 where the loop winds -2; the last two were
-        # rejected as too far apart in scale). The sampled loop is the oracle
+        # (the first three read 0, -1 and -1; the last two were rejected as too far apart
+        # in scale). It lies inside |z| < 1 only at t0 = 1e10. The sampled loop agrees
         p = params(t0, tL, tR, dL=dL)
-        assert braiding_degree(p) == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(65536).values))
+        nu = 0 if t0 == 1e10 else -2
+        assert braiding_degree(p) == nu == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(65536).values))
 
     def test_identity_shift_invariance(self, p1):
         rng = np.random.default_rng(31)
