@@ -195,16 +195,22 @@ def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _states_table(densities: np.ndarray, eigenvalues: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Table (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1."""
-    n_sites = densities.shape[1]
-    e = np.repeat(eigenvalues[order], n_sites)
-    return _table(
-        state_index=np.repeat(np.arange(len(order)), n_sites),
-        re_E=e.real,
-        im_E=e.imag,
-        site=np.tile(np.arange(1, n_sites + 1), len(order)),
-        density=densities[order].ravel(),
-    )
+    """Table (state_index, re_E, im_E, site, density), state-major in ``order``, sites from 1.
+
+    Each field is written into one preallocated array, so no column is
+    built on its own and then copied.
+    """
+    n_states, n_sites = len(order), densities.shape[1]
+    fields = [("state_index", int), ("re_E", float), ("im_E", float), ("site", int), ("density", float)]
+    rows = np.empty(n_states * n_sites, dtype=fields)
+    grid = rows.reshape(n_states, n_sites)
+    e = eigenvalues[order]
+    grid["state_index"] = np.arange(n_states)[:, np.newaxis]
+    grid["re_E"] = e.real[:, np.newaxis]
+    grid["im_E"] = e.imag[:, np.newaxis]
+    grid["site"] = np.arange(1, n_sites + 1)
+    grid["density"] = densities[order]
+    return rows
 
 
 def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -212,6 +218,8 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
     eff = _effective(cfg, "skin")
     shown = spec.eigenvalues if drive is None else _in_nF(spec.eigenvalues, drive)
     densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
+    solver = spec.solver
+    del spec  # its 2N x 2N eigenvectors are not needed past the densities
     report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
     order = _canonical_order(shown)
     units = {"eigenvalue_units": "dimensionless"} if drive is None else {"omega_rad_s": drive, "eigenvalue_units": "nF"}
@@ -223,7 +231,7 @@ def run_skin(cfg: RunConfig, out: Path, fmt: str) -> None:
         bipolar=report.bipolar,
         window_fraction=cfg.window_fraction,
         loc_threshold=cfg.loc_threshold,
-        solver=spec.solver,
+        solver=solver,
     )
     write_table(out, fmt, header, rows=_states_table(densities, shown, order))
     payload = {"header": header, "gamma": report.gamma, "bipolar": report.bipolar, "counts": report.counts()}

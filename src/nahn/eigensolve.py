@@ -22,7 +22,11 @@ half the digits and ``B u / sqrt(mu)`` is unstable), and when a residual
 against the assembled chain exceeds ``CHIRAL_RESIDUAL_BOUND``.
 
 Every LAPACK call here runs with the loaded OpenBLAS held at one thread,
-so results do not depend on ``OPENBLAS_NUM_THREADS``.
+so results do not depend on ``OPENBLAS_NUM_THREADS``. Past LAPACK, the
+eigenvector gauge, the chiral eigenvectors and the residuals work in
+place, a block of about ``TEMP_BYTES`` at a time, with the bits of the
+whole-array expressions: a chiral solve holds its eigenvectors and a
+quarter-size ``u`` and ``B u``, and no other 2N x 2N array.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ ZERO_MODE_TOL = 1e-8
 
 #: Largest relative residual of a chiral eigenpair; a larger one makes ``chain_eig`` fall back.
 CHIRAL_RESIDUAL_BOUND = 1e-12
+
+#: About the size of each temporary array of the eigenvector gauge, the
+#: chiral eigenvectors and the residuals, which work a block of columns,
+#: rows or chain sites at a time.
+TEMP_BYTES = 2**18
 
 #: Thread-count getter and setter of each OpenBLAS build: numpy's 64-bit-integer
 #: scipy-openblas, the 32-bit-integer scipy-openblas, and a system OpenBLAS.
@@ -141,19 +150,53 @@ def _check_square(M) -> np.ndarray:
     return M
 
 
+def _blocks(n: int, item_bytes: int) -> list:
+    """Slices of ``range(n)`` whose items take about ``TEMP_BYTES`` together.
+
+    No slice holds a single item unless ``n`` is 1: numpy sums a lone
+    column pairwise, and not row after row as it sums a wider block,
+    which would change the last bits of its norm.
+    """
+    starts = list(range(0, n, max(2, TEMP_BYTES // item_bytes)))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _add_squares(total, rows: np.ndarray) -> np.ndarray:
+    """``total`` (None at first) plus ``|rows|^2`` summed over rows, in the order ``np.linalg.norm`` sums them.
+
+    ``np.linalg.norm(R, axis=0)`` adds the squares of ``R``'s rows one
+    after another, so the square root of the total over consecutive row
+    blocks of ``R`` is that norm bit for bit.
+    """
+    squares = (rows.conj() * rows).real
+    return np.add.reduce(squares if total is None else np.vstack([total, squares]), axis=0)
+
+
 def _fix_gauge(V: np.ndarray) -> np.ndarray:
-    """Normalize columns and rotate the largest component real-positive."""
-    V = V / np.linalg.norm(V, axis=0, keepdims=True)
-    idx = np.argmax(np.abs(V), axis=0)
-    pivots = V[idx, np.arange(V.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return V / phases[np.newaxis, :]
+    """Normalize ``V``'s columns and rotate each one's largest component real-positive, in place."""
+    for cols in _blocks(V.shape[1], V.shape[0] * V.itemsize):
+        block = V[:, cols]
+        block /= np.linalg.norm(block, axis=0, keepdims=True)
+        pivots = block[np.argmax(np.abs(block), axis=0), np.arange(block.shape[1])]
+        block /= pivots / np.abs(pivots)
+    return V
 
 
 def _residuals(M: np.ndarray, lams: np.ndarray, V: np.ndarray) -> np.ndarray:
     s = _power_of_two_below(M)
+    Ms = M * s
     # a zero matrix has zero residuals, so its norm may stand in as 1
-    return np.linalg.norm((M * s) @ V - V * (lams * s), axis=0) / (np.linalg.norm(M * s) or 1.0)
+    scale = np.linalg.norm(Ms) or 1.0
+    R = Ms @ V
+    del Ms
+    scaled = lams * s
+    total = None
+    for rows in _blocks(R.shape[0], R.shape[1] * R.itemsize):
+        R[rows] -= V[rows] * scaled
+        total = _add_squares(total, R[rows])
+    return np.sqrt(total) / scale
 
 
 def eigvals2x2(M: np.ndarray) -> np.ndarray:
@@ -274,24 +317,36 @@ def _chiral_solve(on, left, right, N, shift, U, rotated, eigenvectors):
     lams = np.concatenate([shift + root, shift - root])
     if u is None:
         return Spectrum(eigenvalues=lams, solver="chiral")
+    del AB
     w = b[0] * u
     w[:-1] += b[1] * u[1:]
     w[1:] += b[2] * u[:-1]
     w /= root
-    rot = np.empty((N, 2, 2 * N), dtype=complex)
-    rot[:, 0, :N] = rot[:, 0, N:] = u
-    rot[:, 1, :N] = w
-    rot[:, 1, N:] = -w
-    V = _fix_gauge((U @ rot).reshape(2 * N, 2 * N))
+    # V = U @ rot, where rot's rows at site n are (u_n, u_n) and (w_n, -w_n),
+    # a few sites at a time
+    sites = _blocks(N, 2 * 2 * N * u.itemsize)
+    Vs = np.empty((N, 2, 2 * N), dtype=complex)
+    for block in sites:
+        rot = np.empty(Vs[block].shape, dtype=complex)
+        rot[:, 0, :N] = rot[:, 0, N:] = u[block]
+        rot[:, 1, :N] = w[block]
+        rot[:, 1, N:] = -w[block]
+        np.matmul(U, rot, out=Vs[block])
+    del u, w, rot
+    V = _fix_gauge(Vs.reshape(2 * N, 2 * N))
     # residuals against the assembled chain, applied block by block to the
-    # blocks scaled by a power of two, so that they neither underflow nor overflow
+    # blocks scaled by a power of two, so that they neither underflow nor
+    # overflow, for a few sites at a time
     s = _power_of_two_below(np.stack([on, left, right]))
-    on, left, right = on * s, left * s, right * s
-    Vs = V.reshape(N, 2, 2 * N)
-    R = on @ Vs - Vs * (lams * s)
-    R[:-1] += left @ Vs[1:]
-    R[1:] += right @ Vs[:-1]
-    res = np.linalg.norm(R.reshape(2 * N, 2 * N), axis=0) / _chain_norm(on, left, right, N)
+    on, left, right, scaled = on * s, left * s, right * s, lams * s
+    total = None
+    for block in sites:
+        lo, hi = block.start, block.stop
+        R = on @ Vs[block] - Vs[block] * scaled
+        R[:min(hi, N - 1) - lo] += left @ Vs[lo + 1:hi + 1]
+        R[max(lo, 1) - lo:] += right @ Vs[max(lo, 1) - 1:hi - 1]
+        total = _add_squares(total, R.reshape(-1, 2 * N))
+    res = np.sqrt(total) / _chain_norm(on, left, right, N)
     if not np.all(res <= CHIRAL_RESIDUAL_BOUND):
         return None
     return Spectrum(eigenvalues=lams, right_eigenvectors=V, residuals=res, solver="chiral")

@@ -3,12 +3,18 @@
 Every float round-trips exactly: CSV writes 17 significant digits
 (``{:.17g}``), JSON writes Python's shortest round-trip ``repr``. Repeated
 runs with the same configuration are byte-identical, and headers never
-contain wall-clock information. Tables arrive as numpy columns; each
-distinct value of a column is formatted once, together with the
-separators its cells carry (a CSV row's line end; a JSON row's brackets
-and indentation). A row is then its cells joined by one separator, and
-rows are streamed to disk one at a time; the document is never built as
-one string. The skin report's states take the same path, as JSON objects.
+contain wall-clock information. Tables arrive as numpy structured arrays
+and are formatted and written ``BLOCK`` rows at a time; a block's text is
+its rows, each its cells joined by one separator, with the row's line end
+or brackets and indentation between rows. A column with few distinct
+values (a state, site or eigenvalue) is formatted once per distinct value
+and gathered per block; a column of mostly distinct values, or of more
+than ``MAX_DISTINCT`` (the densities of a long chain), is formatted block
+by block. Beyond the table
+it is given, and the sorted copy of one column that counts its distinct
+values, a writer thus holds the text and cells of one block and at most
+``MAX_DISTINCT`` strings per column, however long the table is. The skin
+report's states take the same path, as JSON objects.
 """
 
 from __future__ import annotations
@@ -21,6 +27,19 @@ import numpy as np
 
 from .config import config_hash
 from .errors import ValidationError
+
+#: Rows formatted and written at a time, chosen by the peak RSS of the
+#: benchmark's big_chain workload (224-site density tables of 10^5 rows,
+#: one 8 s run each): 52.7, 52.9, 53.3 and 58.5 MB at 1024, 2048, 4096 and
+#: 8192 rows, where smaller blocks cost more per-block calls.
+BLOCK = 2048
+
+#: Most distinct values of a column that is formatted once per distinct
+#: value. A skin table's density column holds about 1.1 N^2 distinct values
+#: in its 2 N^2 rows (chiral partner states share most of their densities),
+#: so up to N of about 120 it too is formatted once per distinct value,
+#: which saves nearly half its formatting.
+MAX_DISTINCT = 8 * BLOCK
 
 
 def build_header(effective_cfg: dict, **extra) -> dict:
@@ -60,62 +79,88 @@ def _open(path):
         raise ValidationError(f"cannot write output file {path}: {exc}") from exc
 
 
-def _cells(column: np.ndarray, fmt: str, before: str = "", after: str = "") -> list:
-    """The strings ``fmt`` writes for ``column``, each between ``before`` and ``after``.
+def _texts(values: np.ndarray, fmt: str, label: str = "") -> list:
+    """The text ``fmt`` writes for each of ``values``, after ``label``.
 
-    Each distinct value is formatted and glued once, and the strings are
-    gathered by the inverse index. Floats are told apart by their bit
-    pattern, so ``-0.0`` and ``0.0`` keep their own strings. CSV writes
-    ``{:.17g}`` of the Python int or float; JSON writes its ``repr``,
-    ``null`` for NaN and infinities, and strings as ``json.dumps`` quotes
-    them.
+    CSV writes ``{:.17g}`` of the Python int or float; JSON writes its
+    ``repr``, ``null`` for NaN and infinities, and strings as
+    ``json.dumps`` quotes them.
     """
-    kind = column.dtype.kind
-    distinct, inverse = np.unique(column.view(f"i{column.itemsize}") if kind == "f" else column, return_inverse=True)
-    if kind == "f":
-        distinct = distinct.view(column.dtype)
+    kind = values.dtype.kind
     to_text = "{:.17g}".format if fmt == "csv" else json.dumps if kind == "U" else repr
-    strings = np.array(list(map(to_text, distinct.tolist())), dtype=object)
+    texts = list(map(to_text, values.tolist()))
     if fmt == "json" and kind == "f":
-        strings[~np.isfinite(distinct)] = "null"
-    # in place, so that each unglued string is freed as its glued one replaces it
-    if before:
-        np.add(before, strings, out=strings)
-    if after:
-        np.add(strings, after, out=strings)
-    return strings[inverse].tolist()
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[i] = "null"
+    return [label + text for text in texts] if label else texts
 
 
-def _glued_cells(table: np.ndarray, names, fmt: str, opening: str, closing: str, labels=None) -> list:
-    """Per field in ``names``, its cells: the first field's start with ``opening``, the last field's end with ``closing``.
+def _distinct(keys: np.ndarray):
+    """The distinct values of ``keys``, sorted, or None when they are more than ``MAX_DISTINCT`` or 3/4 of ``keys``.
 
-    ``labels``, one per field, go before each of its values (JSON object keys).
+    A sort and a comparison of neighbours, as ``np.unique`` does when
+    asked for an inverse; without one, numpy 2.4 hashes, which is several
+    times slower.
     """
-    labels = labels or [""] * len(names)
-    last = len(names) - 1
-    return [
-        _cells(table[name], fmt, (opening if i == 0 else "") + label, closing if i == last else "")
-        for i, (name, label) in enumerate(zip(names, labels))
-    ]
+    keys = np.sort(keys)
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first] if np.count_nonzero(first) <= min(MAX_DISTINCT, 3 * len(keys) // 4) else None
 
 
-def _write_spliced(f, doc: dict, key: str, cells: list) -> None:
-    """Write ``doc`` as ``json.dump(doc, sort_keys=True, indent=1)`` would, with ``cells``' rows as ``doc[key]``.
+def _column_cells(column: np.ndarray, fmt: str, label: str = ""):
+    """A function from a slice of rows to ``column``'s cells in them, as :func:`_texts` writes them.
+
+    A column whose distinct values number at most ``MAX_DISTINCT`` and
+    at most 3/4 of its rows is formatted once per distinct value, and
+    each block gathers its cells from those strings by binary search.
+    Floats are told apart by their bit pattern, so ``-0.0`` and ``0.0``
+    keep their own strings. Any other column (the densities of a long
+    chain, or any column of all-distinct values, where a search would
+    cost more than it saves) is formatted block by block.
+    """
+    keys = column.view(f"i{column.itemsize}") if column.dtype.kind == "f" else column
+    distinct = _distinct(keys)
+    if distinct is not None:
+        strings = np.array(_texts(distinct.view(column.dtype), fmt, label), dtype=object)
+        return lambda rows: strings[np.searchsorted(distinct, keys[rows])].tolist()
+    return lambda rows: _texts(column[rows], fmt, label)
+
+
+def _columns(table: np.ndarray, names, fmt: str, labels=None) -> list:
+    """Per field in ``names``, its :func:`_column_cells`; ``labels``, one per field, go before each of its values."""
+    return [_column_cells(table[name], fmt, label) for name, label in zip(names, labels or [""] * len(names))]
+
+
+def _write_rows(f, columns: list, n_rows: int, sep: str, opening: str, closing: str, last_closing: str) -> None:
+    """Write ``n_rows`` rows, ``BLOCK`` at a time.
+
+    A row is its cells in ``columns`` joined by ``sep``, between
+    ``opening`` and ``closing`` (``last_closing`` after the last row).
+    """
+    for lo in range(0, n_rows, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        f.write(opening)
+        f.write((closing + opening).join(map(sep.join, zip(*(cells(rows) for cells in columns)))))
+        f.write(closing if lo + BLOCK < n_rows else last_closing)
+
+
+def _write_spliced(f, doc: dict, key: str, columns: list, n_rows: int, opening: str, closing: str) -> None:
+    """Write ``doc`` as ``json.dump(doc, sort_keys=True, indent=1)`` would, with ``n_rows`` rows of ``columns`` as ``doc[key]``.
 
     ``doc[key]`` is an empty list at the top level. A row is its cells
-    joined by the text between two values at indent 3, and every row but
-    the last keeps the ``",\n"`` its closing cell ends in. Rows are
-    streamed one at a time.
+    joined by the text between two values at indent 3, between
+    ``opening`` and ``closing``.
     """
     # only a top-level key follows a newline and a single space: nested keys
     # sit deeper, and a newline inside a JSON string is escaped
     head, tail = json.dumps(doc, sort_keys=True, indent=1).split(f'\n "{key}": []')
     f.write(f'{head}\n "{key}": ')
-    if cells and cells[0]:
-        last = [c.pop() for c in cells]
+    if n_rows:
         f.write("[\n")
-        f.writelines(map(",\n   ".join, zip(*cells)))
-        f.write(",\n   ".join(last)[: -len(",\n")] + "\n ]")
+        _write_rows(f, columns, n_rows, ",\n   ", opening, closing + ",\n", closing)
+        f.write("\n ]")
     else:
         f.write("[]")
     f.write(tail + "\n")
@@ -134,18 +179,16 @@ def write_table(path, fmt: str, header: dict, rows: np.ndarray) -> Path:
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown output format {fmt!r}")
-    columns = rows.dtype.names
-    if fmt == "csv":
-        cells = _glued_cells(rows, columns, fmt, "", "\n")
-    else:
-        cells = _glued_cells(rows, columns, fmt, "  [\n   ", "\n  ],\n")
+    names = rows.dtype.names
+    columns = _columns(rows, names, fmt)
     with _open(path) as f:
         if fmt == "csv":
             f.write("# " + json.dumps(_sanitize(header), sort_keys=True) + "\n")
-            f.write(",".join(columns) + "\n")
-            f.writelines(map(",".join, zip(*cells)))
+            f.write(",".join(names) + "\n")
+            _write_rows(f, columns, len(rows), ",", "", "\n", "\n")
         else:
-            _write_spliced(f, {"header": _sanitize(header), "columns": list(columns), "rows": []}, "rows", cells)
+            doc = {"header": _sanitize(header), "columns": list(names), "rows": []}
+            _write_spliced(f, doc, "rows", columns, len(rows), "  [\n   ", "\n  ]")
     return Path(path)
 
 
@@ -158,7 +201,7 @@ def write_report(path, payload: dict, states: np.ndarray) -> Path:
     NaN and infinities.
     """
     names = sorted(states.dtype.names)
-    cells = _glued_cells(states, names, "json", "  {\n   ", "\n  },\n", [json.dumps(name) + ": " for name in names])
+    columns = _columns(states, names, "json", [json.dumps(name) + ": " for name in names])
     with _open(path) as f:
-        _write_spliced(f, {**_sanitize(payload), "states": []}, "states", cells)
+        _write_spliced(f, {**_sanitize(payload), "states": []}, "states", columns, len(states), "  {\n   ", "\n  }")
     return Path(path)

@@ -44,10 +44,11 @@ def densities_from_eigenvectors(V: np.ndarray) -> np.ndarray:
     """
     if V.ndim != 2 or V.shape[0] % 2 != 0:
         raise ValidationError(f"expected (2N, n_states) eigenvector array, got {V.shape}")
-    n_sites = V.shape[0] // 2
-    dens = np.abs(V) ** 2
-    site_dens = dens.reshape(n_sites, 2, V.shape[1]).sum(axis=1)
-    return (site_dens / site_dens.sum(axis=0, keepdims=True)).T
+    # |v|^2 of each site's two components, summed in place: no 2N-row temporary
+    site_dens = np.square(np.abs(V[0::2]))
+    site_dens += np.square(np.abs(V[1::2]))
+    site_dens /= site_dens.sum(axis=0, keepdims=True)
+    return site_dens.T
 
 
 def obc_eigenstates(p: ModelParams, N: int) -> Spectrum:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
 from nahn.eigensolve import _openblas_thread_controls, chain_eig
-from nahn.output import _sanitize, write_report, write_table
+from nahn.output import BLOCK, _sanitize, write_report, write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
@@ -249,7 +250,9 @@ def _random_table(rng, n_rows):
 
 class TestWriteTableMatchesRowWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 600])
+    # rows are written BLOCK at a time, and the JSON splice cuts the ",\n"
+    # of the last row only, whichever block it falls in
+    @pytest.mark.parametrize("n_rows", [0, 1, 2, 7, 600, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_bytes_equal(self, tmp_path, fmt, n_rows):
         columns = _random_table(np.random.default_rng(n_rows), n_rows)
         names = list(columns)
@@ -262,7 +265,7 @@ class TestWriteTableMatchesRowWriter:
             _row_writer(tmp_path / f"old.{fmt}", fmt, header, chosen, rows)
             assert new == (tmp_path / f"old.{fmt}").read_bytes()
 
-    @pytest.mark.parametrize("n_states", [0, 1, 7])
+    @pytest.mark.parametrize("n_states", [0, 1, 7, 2 * BLOCK + 1])
     def test_report_bytes_equal(self, tmp_path, n_states):
         columns = _random_table(np.random.default_rng(n_states), n_states)
         values = {
@@ -288,6 +291,35 @@ class TestWriteTableMatchesRowWriter:
             json.dump(_sanitize(old), f, sort_keys=True, indent=1)
             f.write("\n")
         assert new == (tmp_path / "old.json").read_bytes()
+
+
+class TestWriterMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_traced_peak_is_bounded_by_the_block(self, tmp_path, fmt):
+        # numpy reports its data buffers to tracemalloc, so the peak counts
+        # every array and string the writer makes; the table itself is built
+        # before tracing starts. The index and density columns are all
+        # distinct and go block by block, the eigenvalue column is formatted
+        # once per distinct value. A block of these
+        # columns takes under 400 bytes a row of text and Python objects;
+        # the only other temporary is the sorted copy of one column, and its
+        # first-of-a-run mask, that count the column's distinct values (9
+        # bytes a row). A writer that formatted whole columns would hold all
+        # eight blocks' cells at once (about 3 MB here).
+        rng = np.random.default_rng(3)
+        n_rows = 8 * BLOCK
+        rows = np.rec.fromarrays(
+            [np.arange(n_rows), np.repeat(rng.standard_normal(n_rows // 64), 64), rng.standard_normal(n_rows)],
+            names=["state_index", "re_E", "density"],
+        )
+        write_table(tmp_path / f"warm.{fmt}", fmt, {}, rows=rows[:BLOCK])  # one-time imports, outside the trace
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / f"t.{fmt}", fmt, {}, rows=rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400 * BLOCK + 9 * n_rows
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
 """Eigensolver contracts and band-continuity tracking."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -232,6 +233,60 @@ def tracked(p, n):
     ks = 2 * np.pi * np.arange(n) / n
     e_plus, e_minus = analytic_eigenvalues(p, ks)
     return sort_bands_by_continuity(ks, np.column_stack([e_plus, e_minus]))
+
+
+class TestBlockedArithmetic:
+    """The gauge and residuals work in blocks of about ``TEMP_BYTES``; no block size changes a bit.
+
+    A ``TEMP_BYTES`` larger than any array makes each step one block,
+    which is the whole-array expression.
+    """
+
+    WHOLE = 2**62
+
+    def solve(self, monkeypatch, temp_bytes, solver, *args):
+        monkeypatch.setattr(eigensolve, "TEMP_BYTES", temp_bytes)
+        spec = solver(*args)
+        return spec.eigenvalues, spec.right_eigenvectors, spec.residuals
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 300])
+    def test_dense(self, monkeypatch, n):
+        M = random_complex(np.random.default_rng(n), n)
+        whole = self.solve(monkeypatch, self.WHOLE, eig_dense, M)
+        for temp_bytes in (eigensolve.TEMP_BYTES, 4096, 1):
+            assert all(map(np.array_equal, self.solve(monkeypatch, temp_bytes, eig_dense, M), whole))
+
+    def test_dense_residuals_are_the_whole_array_expression(self):
+        M = random_complex(np.random.default_rng(4), 300)
+        spec = eig_dense(M)
+        s = eigensolve._power_of_two_below(M)
+        V, lams = spec.right_eigenvectors, spec.eigenvalues
+        with eigensolve._single_threaded_blas():  # as eig_dense computes them
+            whole = np.linalg.norm((M * s) @ V - V * (lams * s), axis=0) / np.linalg.norm(M * s)
+        assert np.array_equal(spec.residuals, whole)
+
+    @pytest.mark.parametrize("N", [2, 3, 60, 200])
+    def test_chiral(self, monkeypatch, N):
+        for blocks in (chain_blocks(params(1.0, 1.2, 0.9)), fig4def_blocks(True)[0]):
+            whole = self.solve(monkeypatch, self.WHOLE, chain_eig, *blocks, N)
+            for temp_bytes in (eigensolve.TEMP_BYTES, 4096, 1):
+                spec = self.solve(monkeypatch, temp_bytes, chain_eig, *blocks, N)
+                assert all(map(np.array_equal, spec, whole))
+
+    def test_chiral_traced_peak_stays_under_three_chain_sized_arrays(self):
+        # numpy reports its data buffers to tracemalloc; the eigenvectors
+        # returned are one 2N x 2N complex array
+        N = 200
+        blocks = chain_blocks(params(1.0, 1.2, 0.9))
+        chain_eig(*blocks, 20)  # the one-time OpenBLAS lookup, outside the trace
+        tracemalloc.start()
+        try:
+            spec = chain_eig(*blocks, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.solver == "chiral"
+        assert peak < 3 * (2 * N) ** 2 * np.dtype(complex).itemsize
 
 
 class TestBandSorting:

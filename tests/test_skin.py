@@ -40,6 +40,14 @@ class TestEigenstates:
             densities_from_eigenvectors(V), densities_from_eigenvectors(scrambled), atol=1e-13
         )
 
+    def test_whole_array_expression(self):
+        # the two components of each site are squared and summed in place,
+        # with the bits of the whole-array |V|^2 summed over pseudospin
+        rng = np.random.default_rng(4)
+        V = rng.standard_normal((40, 30)) + 1j * rng.standard_normal((40, 30))
+        site = (np.abs(V) ** 2).reshape(20, 2, 30).sum(axis=1)
+        assert np.array_equal(densities_from_eigenvectors(V), (site / site.sum(axis=0, keepdims=True)).T)
+
 
 class TestGamma:
     def test_right_localized_regime(self, p1):
