@@ -262,19 +262,21 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
         "seed": None if noise is None else noise.seed,
     }
     spec = eig_dense(J_rec)
-    densities = sk.densities_from_eigenvectors(spec.right_eigenvectors)
-    shown = _in_nF(spec.eigenvalues, drive)
+    grid = topo.KGrid(cfg.kpoints) if cfg.boundary is BoundaryCondition.PBC else None
+    loci = None if grid is None else cct.bloch_samples_from_chain(J_rec, grid.values)
+    del J_rec  # the ring's loci are taken; the writers need only the spectrum
+    eigenvalues, densities = spec.eigenvalues, sk.densities_from_eigenvectors(spec.right_eigenvectors)
+    del spec  # its 2N x 2N eigenvectors are not needed past the densities
+    shown = _in_nF(eigenvalues, drive)
     protocol = cct.PROTOCOLS[cfg.boundary]
     meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol, "eigenvalue_units": "nF"}
-    if cfg.boundary is BoundaryCondition.PBC:
-        grid = topo.KGrid(cfg.kpoints)
-        loci = cct.bloch_samples_from_chain(J_rec, grid.values)
+    if loci is not None:
         _write_loci(out, fmt, eff, grid, loci, drive, noise=noise_meta, protocol=protocol)
         header = build_header(eff, chain_N=N, **meta)
     else:
         report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)
         header = build_header(eff, chain_N=N, **meta, gamma=report.gamma, bipolar=report.bipolar)
-        _write_eigenvalues(out, fmt, header, spec.eigenvalues, drive)
+        _write_eigenvalues(out, fmt, header, eigenvalues, drive)
     rows = _states_table(densities, shown, _canonical_order(shown))
     write_table(out.with_name(f"{out.stem}.states.{fmt}"), fmt, header, rows=rows)
 

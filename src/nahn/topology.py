@@ -14,11 +14,10 @@ the roots of ``q-`` are the conjugates of those of ``q+``, and the braiding
 degree is ``nu = 2 n+ - 2``, where ``n+`` counts the roots of ``q+`` inside
 the circle (:func:`_qplus_radii`). The same two radii give the phase
 diagram's boundary residual. ``E0^2 z^2 - P(z)`` does not factor, so
-``w(E0)`` counts the roots of quartics with one stacked kernel
-(:func:`_root_radii`), and refuses a quartic whose solved radii miss the
-product that Vieta's formulas give them. Loops given as samples (measured
-or circuit loci) are wound by accumulating the phase differences of their
-determinants, each step bounded by pi in magnitude.
+``w(E0)`` counts the zeros of quartics inside the circle by the Schur-Cohn
+test, without finding them (:func:`_zeros_inside`). Loops given as samples
+(measured or circuit loci) are wound by accumulating the phase differences
+of their determinants, each step bounded by pi in magnitude.
 """
 
 from __future__ import annotations
@@ -44,9 +43,6 @@ DEFAULT_KPOINTS = 1024
 
 #: Distance from ``|z| = 1`` within which a root puts a determinant zero on the loop.
 ROOT_CIRCLE_TOL = 1e-9
-
-#: Largest log mismatch between a quartic's solved root radii and their product by Vieta's formulas.
-VIETA_LOG_TOL = 1e-6
 
 #: Relative floor below which a determinant sample counts as a zero hit.
 DET_ZERO_TOL = 1e-12
@@ -129,69 +125,6 @@ def _quartic(t0, tL, tR, c: float) -> np.ndarray:
     ])
 
 
-#: Radii of a quartic's roots before the companion solve, by its count of leading
-#: zero coefficients: np.roots's zero root for each trailing zero coefficient, and
-#: ``inf`` for each root that a zero leading coefficient sends to infinity.
-_TRIMMED_RADII = np.where(np.arange(4) < np.arange(4, -1, -1)[:, None], 0.0, np.inf)
-
-
-def _trimming(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per quartic row: the index of its first nonzero coefficient and one past its last, np.roots's trimming."""
-    nonzero = rows != 0
-    return nonzero.argmax(axis=1), 5 - nonzero[:, ::-1].argmax(axis=1)
-
-
-def _root_radii(rows: np.ndarray, trimming: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """``|z|`` of the roots of each quartic row (coefficients highest power first), shape ``(m, 4)``.
-
-    Row ``i`` holds ``np.abs(np.roots(rows[i]))`` bit for bit, with its
-    trimming of leading and trailing zero coefficients, then ``inf`` for
-    each root that a zero leading coefficient sends to infinity. The
-    companion matrices of all rows with the same zero trimming go to LAPACK
-    in one stacked ``np.linalg.eigvals`` call. A row that cannot be solved
-    reads NaN: one that vanishes identically, whose coefficients are not
-    finite (an amplitude near ``1e154`` or above squares to ``inf``) or
-    whose companion matrix is not (a leading coefficient so small against
-    the others that their ratio overflows), or whose eigenvalues do not
-    converge. ``trimming`` is the rows' :func:`_trimming`, if already known.
-    """
-    lead, stop = _trimming(rows) if trimming is None else trimming
-    radii = _TRIMMED_RADII[lead]
-    unsolved = ~np.isfinite(rows).all(axis=1)
-    groups = set(zip(lead.tolist(), stop.tolist()))
-    for a, b in groups:
-        at = slice(None) if len(groups) == 1 else (lead == a) & (stop == b)
-        d = b - a - 1
-        if d == 0:
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite ratio leaves its row unsolved
-            ratios = -rows[at, a + 1:b] / rows[at, a:a + 1]
-        A = np.zeros((len(ratios), d, d), dtype=rows.dtype)
-        A[:, 0] = ratios
-        A.reshape(len(A), d * d)[:, d::d + 1] = 1.0
-        if not np.isfinite(ratios).all():
-            bad = ~np.isfinite(ratios).all(axis=1)
-            A[bad] = 0.0  # solved as zero roots, then marked unsolved
-            unsolved[at] |= bad
-        radii[at, :d] = np.abs(_eigvals(A))
-    radii[unsolved] = np.nan
-    return radii
-
-
-def _eigvals(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a stack of matrices; NaN for each matrix whose eigenvalues do not converge."""
-    try:
-        return np.linalg.eigvals(A)
-    except np.linalg.LinAlgError:  # one failure fails the whole stack
-        out = np.full(A.shape[:2], np.nan, dtype=complex)
-        for j, a in enumerate(A):
-            try:
-                out[j] = np.linalg.eigvals(a)
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
 def _require_finite(coeffs: np.ndarray) -> None:
     if not np.all(np.isfinite(coeffs)):
         raise ValidationError(f"amplitudes too large: polynomial coefficients {coeffs.tolist()} are not finite")
@@ -228,36 +161,71 @@ def _root_count(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
-    """Roots inside ``|z| < 1`` minus 2 of each row: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
+    """Roots inside ``|z| < 1`` minus 2 of each quartic row: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
 
-    Rows are checked in order, and the first that cannot be counted raises,
-    as a loop over the rows would: ``error`` when its polynomial vanishes
-    identically or has a root within ``ROOT_CIRCLE_TOL`` of the unit circle
-    (the determinant then vanishes on the loop), ``ValidationError`` when its
-    roots cannot be found. They cannot when :func:`_root_radii` leaves the
-    row unsolved, or when the product of its solved radii misses Vieta's
-    ``|a_last / a_first|`` of its trimmed coefficients by more than
-    ``VIETA_LOG_TOL`` in log: the companion matrix of coefficients far apart
-    in scale loses the small roots. ``what(i)`` names row ``i`` in the message.
+    All rows at once, by the Schur-Cohn test (Schur 1917; Cohn 1922; Marden,
+    *Geometry of Polynomials*, ch. X): for ``p`` of formal degree ``m``,
+    ``a_k`` its coefficient of ``z^k`` and ``p*(z) = z^m conj(p(1/conj z))``,
+    ``Tp = conj(a_0) p - a_m p*`` has degree ``m - 1`` and the constant
+    ``|a_0|^2 - |a_m|^2``. As ``|p*| = |p|`` on the circle, ``p`` has as many
+    zeros inside as ``Tp`` where that constant is positive, and ``m`` minus
+    as many where it is negative. So after four steps, each divided by its
+    largest coefficient, a zero lies inside for each step after an odd
+    number of negative constants. A row counts at ``p(rz)``,
+    ``r = 1 -+ ROOT_CIRCLE_TOL``, when every constant exceeds a bound on its
+    rounding error and the two counts agree: no root then lies within
+    ``ROOT_CIRCLE_TOL`` of the circle. Other rows are counted again exactly
+    (:func:`_exact_zeros_inside`): with ``tL = tR`` a constant can be second
+    order in ``ROOT_CIRCLE_TOL``, and with ``tL = tR = 0`` one is 0. The
+    first row, in order, that is still not counted raises, as a loop would:
+    ``error`` when it vanishes identically or has a root near the circle,
+    ``ValidationError`` when it is not finite. ``what(i)`` names row ``i``.
     """
-    lead, stop = _trimming(rows)
-    radii = _root_radii(rows, (lead, stop))
-    counted, inside = _root_count(radii)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero radii, a vanishing row, non-finite rows
-        log_radii = np.log(radii)
-        log_radii[np.arange(4) >= (stop - lead - 1)[:, None]] = 0.0  # only the trimmed polynomial's roots
-        ends = np.log(np.abs(rows[np.arange(len(rows)), np.array([lead, stop - 1])]))
-        solved = np.abs(log_radii.sum(axis=1) - (ends[1] - ends[0])) <= VIETA_LOG_TOL
-    countable = counted & solved
-    if not countable.all():
-        i = countable.argmin()
+    radii = 1.0 + np.array([-ROOT_CIRCLE_TOL, ROOT_CIRCLE_TOL])
+    constants, err = np.empty((4, 2, len(rows))), 0.0  # each constant in units of its rounding-error bound
+    # a row that vanishes or is not finite reads NaN, and one whose error bound overflows 0: undecided
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.multiply(rows[:, ::-1], radii[:, None, None] ** np.arange(5), dtype=complex)
+        for m in range(4, 0, -1):
+            scale = np.abs(a.view(float)).max(axis=-1)
+            a /= scale[..., None]
+            a = a[..., :1].conj() * a[..., :m] - a[..., m:] * a[..., m:0:-1].conj()
+            err = 16.0 * (err / scale + np.finfo(float).eps)  # first order; the coefficients have |a_k| <= sqrt(2)
+            constants[4 - m] = a[..., 0].real / err
+    inside = np.logical_xor.accumulate(constants < 0).sum(axis=0)
+    for i in np.flatnonzero(~(np.abs(constants) > 1.0).all(axis=(0, 1)) | (inside[0] != inside[1])).tolist():
         if not rows[i].any():
             raise error(f"{what(i)}: determinant vanishes identically")
-        if not solved[i]:
-            _require_finite(rows[i])
-            raise ValidationError(f"amplitudes too far apart in scale for a root count: coefficients {rows[i].tolist()}")
-        raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
-    return inside - 2
+        _require_finite(rows[i])
+        exact = [_exact_zeros_inside(rows[i, ::-1].tolist(), r) for r in radii.tolist()]
+        if None in exact or exact[0] != exact[1]:
+            raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
+        inside[0, i] = exact[0]
+    return inside[0] - 2
+
+
+def _exact_zeros_inside(p: list, r: float) -> int | None:
+    """Zeros of ``p(rz)`` inside ``|z| < 1`` by the Schur-Cohn test of :func:`_zeros_inside`, in exact arithmetic.
+
+    ``p``: five coefficients, lowest power first, not all zero. Each exact zero
+    constant term is a root at ``z = 0``, counted and divided out. They and ``r``
+    are binary fractions, so scaled to integers no step rounds. None where a constant is 0.
+    """
+    inside, odd = next(k for k, c in enumerate(p) if c), 0
+    nr, dr = r.as_integer_ratio()
+    parts = [(n * nr ** k, d * dr ** k) for k, c in enumerate(p[inside:] + [0] * inside)
+             for n, d in (c.real.as_integer_ratio(), c.imag.as_integer_ratio())]
+    scale = max(d for _, d in parts)  # a power of 2, as each denominator
+    a = [(x * (scale // dx), y * (scale // dy)) for (x, dx), (y, dy) in zip(parts[::2], parts[1::2])]
+    for m in range(4, 0, -1):
+        (x0, y0), (xm, ym) = a[0], a[m]
+        a = [(x0 * xk + y0 * yk - xm * xj - ym * yj, x0 * yk - y0 * xk - ym * xj + xm * yj)
+             for (xk, yk), (xj, yj) in zip(a[:m], a[m:0:-1])]
+        if a[0][0] == 0:
+            return None
+        odd ^= a[0][0] < 0
+        inside += odd
+    return inside
 
 
 def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
@@ -332,16 +300,16 @@ def spectral_winding_profile(
     ``min_distance`` to the spectral curve are skipped. Returns a list of
     ``(E0, w)`` pairs, real part major, with ``w = None`` for skipped probes.
 
-    ``grid`` samples the spectrum for the box and the skip rule. The skip
-    rule is unchanged: a probe is skipped when its nearest sample is closer
-    than ``tol = max(min_distance, SPECTRUM_DISTANCE_TOL)``. Only the samples
-    whose real and imaginary parts both lie within ``tol`` of the probe's are
+    ``grid`` samples the spectrum for the box and the skip rule: a probe is
+    skipped when its nearest sample is closer than
+    ``tol = max(min_distance, SPECTRUM_DISTANCE_TOL)``. Only the samples whose
+    real and imaginary parts both lie within ``tol`` of the probe's are
     measured, since no other can be that close (``|d| >= |Re d|, |Im d|``),
     so the decisions equal those of measuring every sample. All probes are
     measured in one pass, whose memory grows with ``n_re`` times the number
     of samples, and with ``n_im`` times those within ``tol`` of a column's
-    real part. The windings of all evaluated probes come from one stacked
-    root count (:func:`_root_radii`) and equal :func:`spectral_winding`'s;
+    real part. The windings of all evaluated probes come from one count of
+    their rows (:func:`_zeros_inside`) and equal :func:`spectral_winding`'s;
     the first evaluated probe, real part major, that it rejects raises the
     same error. Negative ``n_re`` or ``n_im``, a ``pad`` that is not finite
     or stretches the grid past the float range, a NaN or negative

@@ -592,6 +592,31 @@ class TestMeasureCommand:
         assert header["protocol"] == "OBC_all_nodes"
         assert columns == ["index", "re_E", "im_E", "re_j_S", "im_j_S"]
 
+    @pytest.mark.parametrize("boundary", ["OBC", "PBC"])
+    def test_no_dense_matrix_alive_through_the_writers(self, tmp_path, monkeypatch, boundary):
+        # the measured chain and the dense eigenvectors, 2N x 2N complex each, are freed
+        # before the writers run: at each writer's entry the traced memory, less the rows
+        # it writes, stays below one such matrix (the densities take a quarter of one)
+        N = 96
+        text = (RECIPES / "fig4def.cfg").read_text().replace("boundary = OBC", f"boundary = {boundary}")
+        cfg = write_cfg(tmp_path, text.replace("chain_N = 47", f"chain_N = {N}"))
+        args = ["measure", "--config", str(cfg), "--kpoints", "64"]
+        assert main([*args, "--out", str(tmp_path / "warm.csv")]) == 0  # one-time imports, outside the trace
+        at_entry = []
+
+        def traced(path, fmt, header, rows):
+            at_entry.append(tracemalloc.get_traced_memory()[0] - rows.nbytes)
+            return write_table(path, fmt, header, rows=rows)
+
+        monkeypatch.setattr(cli, "write_table", traced)
+        tracemalloc.start()
+        try:
+            assert main([*args, "--out", str(tmp_path / "m.csv")]) == 0
+        finally:
+            tracemalloc.stop()
+        assert len(at_entry) == 2
+        assert max(at_entry) < 16 * (2 * N) ** 2
+
     def test_heavy_noise_reported_not_crashed(self, tmp_path):
         cfg = write_cfg(tmp_path, (RECIPES / "fig3b.cfg").read_text() + "noise_sigma = 0.10\n")
         for seed in range(6):

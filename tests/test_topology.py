@@ -38,7 +38,7 @@ from nahn import (
 from nahn import topology
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.topology import NU_SENTINEL, _median, _qplus_radii, _quartic, _root_radii, _zeros_inside
+from nahn.topology import NU_SENTINEL, _exact_zeros_inside, _median, _qplus_radii, _quartic, _zeros_inside
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -59,10 +59,16 @@ def boundary_residual(p):
     return -(r.min() - 1.0) * (r.max() - 1.0)
 
 
-def kernel_boundary_residual(p):
-    """The same residual from the stacked kernel: ``-(r_(2) - 1)(r_(3) - 1)`` of the sorted root radii of ``P``."""
-    r = np.sort(_root_radii(_quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))[None])[0])
+def quartic_boundary_residual(p):
+    """The same residual from ``np.roots``: ``-(r_(2) - 1)(r_(3) - 1)`` of the sorted root radii of ``P``."""
+    r = np.sort(np.abs(np.roots(_quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR)))))
     return -(r[1] - 1.0) * (r[2] - 1.0)
+
+
+def sampled_winding(p, E0, n=65536):
+    """Winding of ``det(H(k) - E0)`` sampled at ``n`` momenta: an oracle of the root count."""
+    H = bloch_hamiltonian(p, KGrid(n).values) - E0 * np.eye(2)
+    return round(winding_number(H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]))
 
 
 def tracked(p, n=1024):
@@ -145,18 +151,20 @@ class TestBraidingDegree:
 
     @pytest.mark.parametrize("t0, tL", [(1.0, 1e160), (1.0, 1e-160), (1e10, 1e-150)])
     def test_out_of_range_amplitudes_rejected(self, t0, tL):
-        # the quartic's coefficients overflow, or its companion matrix does or loses
-        # its small roots; q+ is exact at the small amplitudes, so braiding_degree
-        # counts them as the sampled loop does
+        # the quartic's coefficients overflow at the large amplitude; the small ones are
+        # counted as the sampled loop winds, by q+ for nu and by the Schur-Cohn count for w
         p = params(t0, tL, 3.0)
         counts = [lambda: spectral_winding(p, 0.5j), lambda: spectral_winding_profile(p, 3, 3)]
         if tL > 1.0:
-            counts.append(lambda: braiding_degree(p))
-        else:
-            assert braiding_degree(p) == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(65536).values))
-        for count in counts:
-            with pytest.raises(ValidationError, match="amplitudes too"):
-                count()
+            for count in (*counts, lambda: braiding_degree(p)):
+                with pytest.raises(ValidationError, match="amplitudes too"):
+                    count()
+            return
+        assert braiding_degree(p) == braiding_degree_of_samples(bloch_hamiltonian(p, KGrid(65536).values))
+        assert spectral_winding(p, 0.5j) == sampled_winding(p, 0.5j)
+        probes = [(E0, w) for E0, w in spectral_winding_profile(p, 3, 3) if w is not None]
+        assert len(probes) >= 5
+        assert [w for _, w in probes] == [sampled_winding(p, E0) for E0, _ in probes]
 
     @pytest.mark.parametrize("tL, tR", [(0.5, 0.5), (1.5, 1.5), (2.0, 2.0)])
     def test_parallel_directions_on_boundary_rejected(self, tL, tR):
@@ -253,11 +261,35 @@ class TestSpectralWinding:
 
     @pytest.mark.parametrize("E0", [0.0, 0.1j, 0.5 + 0.2j])
     def test_amplitudes_far_apart_in_scale_rejected(self, E0):
-        # the companion matrix of E0^2 z^2 - P loses its roots near |z| = 3.33 (the count
-        # read 0 where the sampled determinant winds -2); the solved radii then miss
-        # Vieta's product, so the count refuses the row
-        with pytest.raises(ValidationError, match="too far apart in scale"):
-            spectral_winding(params(0.3, 1e-150, 1.0), E0)
+        # tL^2 = 1e-300 against coefficients near 1: the roots near |z| = 3.33, which a
+        # companion matrix of E0^2 z^2 - P loses, are counted outside, as the sampled
+        # determinant winds
+        p = params(0.3, 1e-150, 1.0)
+        assert spectral_winding(p, E0) == sampled_winding(p, E0) == -2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_lapack_call(self, monkeypatch):
+        # w(E0) counts zeros without finding them: with LAPACK's eigensolvers patched to
+        # raise, every winding and refusal is unchanged, also on the rows that vanish or
+        # lose their first or last coefficients (tL or tR = 0), and none warns
+        rng = np.random.default_rng(23)
+        on_site = params(1.3, 0.0, 0.0)
+        models = [random_general(rng) for _ in range(3)] + [on_site, params(0.8, 0.0, 1.1), params(0.8, 1.1, 0.0)]
+        profiles = [spectral_winding_profile(p, 6, 6, pad=0.1) for p in models]
+
+        def raising(*args, **kwargs):
+            raise AssertionError("w(E0) called LAPACK")
+
+        monkeypatch.setattr(np.linalg, "eigvals", raising)
+        monkeypatch.setattr(np.linalg, "eig", raising)
+        for p, profile in zip(models, profiles):
+            assert spectral_winding_profile(p, 6, 6, pad=0.1) == profile
+            counted = [(E0, w) for E0, w in profile if w is not None]
+            assert [spectral_winding(p, E0) for E0, _ in counted] == [w for _, w in counted]
+        assert any(w for profile in profiles[4:] for _, w in profile)  # the zero-hopping loops wind
+        assert spectral_winding(on_site, 0.65) == 0
+        with pytest.raises(ReferenceOnSpectrumError, match="identically"):
+            spectral_winding(on_site, 1.3)
 
     def test_direction_reversal_negates(self, p3):
         E0 = -2.0 + 0.0j
@@ -277,50 +309,57 @@ def outcome(call):
 
 
 class TestStackedRootRadii:
-    def test_bit_equal_to_np_roots(self):
-        # one stack mixes every zero trimming; each row must still match its own np.roots
+    def test_decisions_equal_to_np_roots(self):
+        # one stack mixes every zero trimming; each row whose roots all lie 1e-6 or more from
+        # |z| = 1 gets np.roots's count, in the stack and alone
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((3000, 5)) * 10.0 ** rng.uniform(-3, 3, (3000, 5))
         rows[rng.random(rows.shape) < 0.15] = 0.0
         rows = np.vstack([rows[rows.any(axis=1)], [[0, 0, 1, 2, 3], [1, 2, 3, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 5]]])
         complex_rows = rows + 1j * rng.standard_normal(rows.shape) * (rows != 0)
         for stack in (rows, complex_rows):
-            radii = _root_radii(stack)
-            for i, row in enumerate(stack):
-                ref = np.abs(np.roots(row))
-                assert radii[i, :len(ref)].tobytes() == ref.tobytes()
-                assert np.all(radii[i, len(ref):] == np.inf)
-                if i % 100 == 0:
-                    assert _root_radii(stack[i:i + 1]).tobytes() == radii[i:i + 1].tobytes()
+            radii = [np.abs(np.roots(row)) for row in stack]
+            clear = np.array([np.all(np.abs(r - 1.0) >= 1e-6) for r in radii])
+            assert clear.sum() > 0.99 * len(stack)
+            expected = [np.sum(r < 1.0) - 2 for r, c in zip(radii, clear) if c]
+            count = _zeros_inside(stack[clear], PhaseBoundaryError, lambda i: f"row {i}")
+            assert count.tolist() == expected
+            for i in range(0, len(expected), 100):
+                assert _zeros_inside(stack[clear][i:i + 1], PhaseBoundaryError, str).tolist() == [expected[i]]
+            for i in range(0, len(expected), 300):
+                p = stack[clear][i, ::-1].tolist()
+                assert [_exact_zeros_inside(p, r) - 2 for r in (1.0 - 1e-9, 1.0 + 1e-9)] == [expected[i]] * 2
+        # coefficients far apart in scale: np.roots loses the roots near |z| = 3.33, the count does not
+        assert _zeros_inside(np.array([[1e-300, 0, 0.09, 0.6, 1]]), PhaseBoundaryError, str).tolist() == [-2]
 
-    def test_unsolvable_rows_read_nan(self):
-        rows = np.array([[1.0, 2, 3, 4, 5], [0, 0, 0, 0, 0], [np.inf, 1, 1, 1, 1], [1, np.nan, 1, 1, 1],
-                         [1e-320, 1, 1, 1, 1], [2.0, 1, 1, 1, 1]])
-        radii = _root_radii(rows)
-        assert np.isnan(radii[1:5]).all()
-        assert not np.isnan(radii[[0, 5]]).any()
-
-    def test_unconverged_matrix_fails_only_its_row(self, monkeypatch):
-        eigvals = np.linalg.eigvals
-
-        def flaky(A):  # a companion whose first entry is 7 does not converge
-            if np.any(np.asarray(A)[..., 0, 0] == 7.0):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigvals(A)
-
-        monkeypatch.setattr(np.linalg, "eigvals", flaky)
-        rows = np.array([[1.0, 2, 3, 4, 5], [1.0, -7, 3, 4, 5], [2.0, 1, 1, 1, 1]])
-        radii = _root_radii(rows)
-        assert np.isnan(radii[1]).all()
-        assert not np.isnan(radii[[0, 2]]).any()
+    def test_rounded_recursion_undecided_rows_counted_exactly(self, monkeypatch):
+        # tL = tR puts |a_0| = |a_4|, so a constant is only first order in the radii's offset
+        # from 1; with dL = -dR a later one is second order, and with dL = dR and E0 = 0
+        # (P = q+^2, q+ palindromic with roots r and 1 / r) so is one of a double root. The
+        # rounded recursion cannot sign those constants, and exact arithmetic settles them
+        rng = np.random.default_rng(8)
+        rows = []
+        for _ in range(40):
+            t0, t = rng.uniform(0.05, 3.0, 2)
+            anti = _quartic(t0, t, t, -1.0).astype(complex)
+            anti[2] -= complex(*rng.uniform(-4.0, 4.0, 2)) ** 2
+            rows += [anti, -_quartic(2.0 * t * rng.uniform(1.2, 3.0), t, t, 1.0)]
+        for row in rows:
+            expected = int(np.sum(np.abs(np.roots(row)) < 1.0)) - 2
+            assert _zeros_inside(row[None], PhaseBoundaryError, str).tolist() == [expected]
+        monkeypatch.setattr(topology, "_exact_zeros_inside", lambda p, r: None)
+        for row in rows:
+            with pytest.raises(PhaseBoundaryError, match="root on"):
+                _zeros_inside(row[None], PhaseBoundaryError, str)
 
     @pytest.mark.parametrize("rows, error, message", [
         ([[1, 0, -4.25, 0, 1], [1, 0, -5, 0, 4], [np.inf, 0, 1, 0, 1]], PhaseBoundaryError, "row 1: .*root on"),
         ([[1, 0, -4.25, 0, 1], [np.inf, 0, 1, 0, 1], [1, 0, -5, 0, 4]], ValidationError, "amplitudes too large"),
-        ([[1, 0, -4.25, 0, 1], [1e-320, 0, 1, 0, 1], [0, 0, 0, 0, 0]], ValidationError, "too far apart"),
+        # z^2 + 1 and two roots near 1e160
+        ([[1, 0, -4.25, 0, 1], [1e-320, 0, 1, 0, 1], [0, 0, 0, 0, 0]], PhaseBoundaryError, "row 1: .*root on"),
         ([[1, 0, -4.25, 0, 1], [0, 0, 0, 0, 0], [1e-320, 0, 1, 0, 1]], PhaseBoundaryError, "row 1: .* identically"),
-        # solved, but the radii's product misses |a_last / a_first| = 1e300: the small roots are lost
-        ([[1, 0, -4.25, 0, 1], [1e-300, 0, 0.09, 0.6, 1], [0, 0, 0, 0, 0]], ValidationError, "too far apart"),
+        # the second row is counted (roots near -3.33 and 1e150), so the third raises
+        ([[1, 0, -4.25, 0, 1], [1e-300, 0, 0.09, 0.6, 1], [0, 0, 0, 0, 0]], PhaseBoundaryError, "row 2: .* identically"),
     ])
     def test_first_failing_row_raises(self, rows, error, message):
         # the first row has roots at |z| = 2 and 1/2, (z^2 - 1)(z^2 - 4) has two on the circle
@@ -330,18 +369,18 @@ class TestStackedRootRadii:
 
 class TestQuadraticFactor:
     def test_equal_to_quartic_root_count(self):
-        # the braiding degree from q+ against the stacked kernel's count of P = q+ q-:
-        # equal nu or equal rejection, and q+'s radii, each twice, equal to P's
+        # the braiding degree from q+ against the Schur-Cohn count of P = q+ q-: equal nu
+        # or equal rejection, and q+'s radii, each twice, equal to np.roots's of P
         rng = np.random.default_rng(1)
         worst = 0.0
         for _ in range(2000):
             t0, tL, tR = rng.uniform(0.05, 3.0, 3)
             p = params(t0, tL, tR, random_unit_vector(rng), random_unit_vector(rng))
             row = _quartic(t0, tL, tR, p.dL.dot(p.dR))
-            kernel = outcome(lambda: int(_zeros_inside(row[None], PhaseBoundaryError, lambda i: "braiding degree")[0]))
-            assert outcome(lambda: braiding_degree(p)) == kernel
+            count = outcome(lambda: int(_zeros_inside(row[None], PhaseBoundaryError, lambda i: "braiding degree")[0]))
+            assert outcome(lambda: braiding_degree(p)) == count
             radii = np.sort(np.repeat(_qplus_radii(t0, tL, tR, p.dL.dot(p.dR)), 2))
-            worst = max(worst, np.max(np.abs(radii - np.sort(_root_radii(row[None])[0]))))
+            worst = max(worst, np.max(np.abs(radii - np.sort(np.abs(np.roots(row))))))
         assert worst <= 1e-13
 
     def test_arrays_equal_to_scalars(self):
@@ -432,8 +471,10 @@ class TestWindingProfile:
     @pytest.mark.parametrize("p, pad", [
         # real spectrum: probes on the segment between samples have a root on |z| = 1
         (params(1.0, 0.7, 0.7, DR, DR), 0.25),
-        # tL^2 is subnormal: every evaluated probe's companion matrix overflows
-        (params(1.0, 1e-160, 3.0), 0.0),
+        # dL = -dR and tL = tR: the spectrum is two vertical segments on the box's left and right
+        # edges, where probes between samples have a root on |z| = 1; the rows of the probes
+        # inside are left undecided by the rounded recursion and counted exactly
+        (params(1.0, 0.8, 0.8, GaugeVector(-1.0, 0.0, 0.0), DR), 0.0),
         # probes so far out that their squares overflow
         (params(1.0, 1.2, 0.9), 1e160),
     ])
@@ -704,9 +745,9 @@ class TestPhaseDiagram:
     )
     def test_equal_to_per_cell_invariants(self, dL, threads):
         # the plane's q+ radii against each cell's own braiding_degree and scalar q+ residual,
-        # bit for bit; the stacked kernel's residual of P is an independent oracle
+        # bit for bit; np.roots's residual of P is an independent oracle
         diagram = compute_phase_diagram((0.0, 4.0), 8, chain_N=4, dL=dL, dR=DR, threads=threads)
-        nu, residual, kernel = [], [], []
+        nu, residual, quartic = [], [], []
         for tL in diagram.tL_axis.tolist():
             for tR in diagram.tR_axis.tolist():
                 p = params(1.0, tL, tR, dL, DR)
@@ -715,14 +756,14 @@ class TestPhaseDiagram:
                 except PhaseBoundaryError:
                     nu.append(NU_SENTINEL)
                 residual.append(boundary_residual(p))
-                kernel.append(kernel_boundary_residual(p))
+                quartic.append(quartic_boundary_residual(p))
         assert diagram.nu.tolist() == np.reshape(nu, (8, 8)).tolist()
         assert diagram.boundary_residual.tobytes() == np.array(residual).tobytes()
-        kernel = np.reshape(kernel, (8, 8))
+        quartic = np.reshape(quartic, (8, 8))
         # a sentinel cell has a root on |z| = 1 and a residual of rounding size, whose sign neither solve fixes
         accepted = diagram.nu != NU_SENTINEL
-        assert np.array_equal(np.sign(diagram.boundary_residual[accepted]), np.sign(kernel[accepted]))
-        assert np.max(np.abs(diagram.boundary_residual - kernel)) <= 1e-12
+        assert np.array_equal(np.sign(diagram.boundary_residual[accepted]), np.sign(quartic[accepted]))
+        assert np.max(np.abs(diagram.boundary_residual - quartic)) <= 1e-12
         if dL == DR:
             assert diagram.nu[1, 1] == NU_SENTINEL
 
@@ -755,7 +796,7 @@ class TestPhaseDiagram:
         assert diagram.boundary_residual.tobytes() == reference.boundary_residual.tobytes()
 
     def test_one_stacked_root_count_per_plane(self, monkeypatch):
-        # one solve of the plane's q+ gives nu and the residual; the quartic kernel is not called
+        # one solve of the plane's q+ gives nu and the residual; no quartic is counted
         calls = []
 
         def counted(t0, tL, tR, c):
@@ -766,7 +807,7 @@ class TestPhaseDiagram:
             raise AssertionError("the sweep counts no single cell and solves no quartic")
 
         monkeypatch.setattr(topology, "_qplus_radii", counted)
-        monkeypatch.setattr(topology, "_root_radii", not_called)
+        monkeypatch.setattr(topology, "_zeros_inside", not_called)
         monkeypatch.setattr(topology, "braiding_degree", not_called)
         compute_phase_diagram((0.0, 2.0), 9, chain_N=4, threads=2)
         assert calls == [(81,)]
