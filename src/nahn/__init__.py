@@ -11,11 +11,11 @@ from .circuit import (
     CircuitParams,
     MeasurementNoise,
     admittance_bloch,
-    bloch_samples_from_chain,
     circuit_chain,
     m_coefficients,
     measure_admittance,
     resonance_frequency,
+    ring_blocks,
     simulated_measurement,
 )
 from .eigensolve import (
@@ -56,6 +56,7 @@ from .topology import (
     PhaseDiagram,
     band_resolved_winding,
     braiding_degree,
+    braiding_degree_of_blocks,
     braiding_degree_of_samples,
     compute_phase_diagram,
     exceptional_scan,

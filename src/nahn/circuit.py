@@ -23,7 +23,6 @@ from .model import (
     SIGMA_X,
     SIGMA_Z,
     BoundaryCondition,
-    bloch_sum,
     chain_matrix,
 )
 
@@ -141,9 +140,10 @@ def m_coefficients(c: CircuitParams, omega: float, include_r0: bool = True):
     if not cmath.isfinite(m0):
         raise ValidationError(f"on-site term m0 (F) of the six components {at} is {m0!r}; it must be finite")
     m1 = (c1 - 1.0 / w2l1) / 2.0
-    # eigvals2x2 and braiding_degree_of_samples form determinants and discriminants
-    # of at most 3 s^2; 8 s^2 leaves room for measured ring loci, which CONDITION_LIMIT
-    # keeps close to the nominal ones. |Re m0| + |Im m0| bounds |m0|, and unlike abs cannot raise
+    # eigvals2x2 forms determinants and discriminants of at most 3 s^2, and
+    # braiding_degree_of_blocks quartic coefficients of at most 6 s^2 (a block's Pauli
+    # vector has norm at most sqrt(2) s); 8 s^2 leaves room for measured ring blocks, which
+    # CONDITION_LIMIT keeps close to the nominal ones. |Re m0| + |Im m0| bounds |m0|, and unlike abs cannot raise
     s = (abs(m0.real) + abs(m0.imag) + 2.0 * abs(m1) + c0 + c1 + c2) * max(omega, 1.0 / NF)
     if not math.isfinite(8.0 * s * s):
         keys = ", ".join(COMPONENT_KEYS.values())
@@ -280,15 +280,13 @@ def simulated_measurement(
     return measure_admittance(J, bc)
 
 
-def bloch_samples_from_chain(J: np.ndarray, k_values) -> np.ndarray:
-    """Momentum-space loci rebuilt from the unit blocks of a periodic chain.
+def ring_blocks(J: np.ndarray):
+    """On-site, leftward and rightward 2x2 blocks of a periodic chain, read from its first block row and column.
 
-    Extracts the on-site, leftward and rightward 2x2 blocks from the first
-    block row/column and evaluates ``on + left e^{ik} + right e^{-ik}`` on
-    the given momenta. Needs at least 3 sites so the neighbor blocks do not
-    overlap the wrap blocks.
+    Returns copies, so they do not keep ``J`` alive. Needs at least 3 sites
+    so the neighbor blocks do not overlap the wrap blocks.
     """
     J = np.asarray(J, dtype=complex)
     if J.shape[0] < 6:
         raise ValidationError("block extraction needs a chain of at least 3 sites")
-    return bloch_sum(J[0:2, 0:2], J[0:2, 2:4], J[2:4, 0:2], k_values)
+    return J[0:2, 0:2].copy(), J[0:2, 2:4].copy(), J[2:4, 0:2].copy()

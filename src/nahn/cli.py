@@ -24,7 +24,7 @@ from . import topology as topo
 from .config import SETTINGS, RunConfig, load_config
 from .errors import NumericalError, SingularNetworkError, ValidationError
 from .eigensolve import Spectrum, chain_eig, eig_dense, eigvals2x2, sort_bands_by_continuity
-from .model import BoundaryCondition, analytic_eigenvalues, chain_blocks
+from .model import BoundaryCondition, analytic_eigenvalues, bloch_sum, chain_blocks
 from .output import build_header, write_report, write_table
 
 EXIT_OK = 0
@@ -111,13 +111,13 @@ def _write_bands(out: Path, fmt: str, eff: dict, grid, pairs, raw_scale=None, **
     write_table(out, fmt, header, rows=rows)
 
 
-def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, drive: float, **extra) -> None:
-    """Band table of admittance loci (siemens), shown in nF (divided by i omega NF)."""
+def _write_loci(out: Path, fmt: str, eff: dict, grid, loci, blocks, drive: float, **extra) -> None:
+    """Band table of admittance loci (siemens), shown in nF (divided by i omega NF); ``nu`` from the ring's ``blocks``."""
     pairs = eigvals2x2(_in_nF(loci, drive))
     _write_bands(
         out, fmt, eff, grid, pairs, 1j * drive * cct.NF,
-        omega_rad_s=drive, eigenvalue_units="nF", tolerances={"det_zero": topo.DET_ZERO_TOL},
-        **_nu(topo.braiding_degree_of_samples, loci), **extra,
+        omega_rad_s=drive, eigenvalue_units="nF", tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},
+        **_nu(topo.braiding_degree_of_blocks, *blocks), **extra,
     )
 
 
@@ -153,7 +153,7 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
     else:
         drive = cfg.circuit.drive_frequency()
         loci = cct.admittance_bloch(cfg.circuit, drive, grid.values, include_r0=not cfg.zero_r0)
-        _write_loci(out, fmt, eff, grid, loci, drive)
+        _write_loci(out, fmt, eff, grid, loci, cct.circuit_blocks(cfg.circuit, drive, not cfg.zero_r0), drive)
 
 
 def run_phase_diagram(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -263,15 +263,16 @@ def run_measure(cfg: RunConfig, out: Path, fmt: str) -> None:
     }
     spec = eig_dense(J_rec)
     grid = topo.KGrid(cfg.kpoints) if cfg.boundary is BoundaryCondition.PBC else None
-    loci = None if grid is None else cct.bloch_samples_from_chain(J_rec, grid.values)
-    del J_rec  # the ring's loci are taken; the writers need only the spectrum
+    blocks = None if grid is None else cct.ring_blocks(J_rec)
+    del J_rec  # the ring's blocks are copied; the writers need only the spectrum
     eigenvalues, densities = spec.eigenvalues, sk.densities_from_eigenvectors(spec.right_eigenvectors)
     del spec  # its 2N x 2N eigenvectors are not needed past the densities
     shown = _in_nF(eigenvalues, drive)
     protocol = cct.PROTOCOLS[cfg.boundary]
     meta = {"omega_rad_s": drive, "noise": noise_meta, "protocol": protocol, "eigenvalue_units": "nF"}
-    if loci is not None:
-        _write_loci(out, fmt, eff, grid, loci, drive, noise=noise_meta, protocol=protocol)
+    if blocks is not None:
+        loci = bloch_sum(*blocks, grid.values)
+        _write_loci(out, fmt, eff, grid, loci, blocks, drive, noise=noise_meta, protocol=protocol)
         header = build_header(eff, chain_N=N, **meta)
     else:
         report = sk.classify_localization(densities, cfg.window_fraction, cfg.loc_threshold)

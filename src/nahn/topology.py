@@ -2,11 +2,12 @@
 
 The braiding degree is the winding of ``det(H(k) - Tr H(k)/2)`` around the
 origin over one momentum cycle; the point-gap winding number w(E0) is the
-winding of ``det(H(k) - E0)``. For model parameters both are counted
-exactly, without a k grid: ``H(k)`` is traceless, so with ``z = e^{ik}``
-``z^2 det(H - E0) = E0^2 z^2 - P(z)`` for a quartic ``P``, and by the
-argument principle each winding is the number of roots inside ``|z| < 1``
-minus the double pole at ``z = 0``.
+winding of ``det(H(k) - E0)``. Both are counted exactly, without a k grid:
+with ``z = e^{ik}``, ``-z^2`` times the first determinant is a quartic
+``P(z)``, and for the model, whose ``H(k)`` is traceless,
+``z^2 det(H - E0) = E0^2 z^2 - P(z)``. By the argument principle each
+winding is the number of roots inside ``|z| < 1`` minus the double pole at
+``z = 0``.
 
 The model's ``P`` factors: with ``cos(theta) = dL.dR`` it is ``q+ q-``,
 ``q+-(z) = tL z^2 + e^{+-i theta} (t0 z + tR)``. The amplitudes are real, so
@@ -15,9 +16,11 @@ degree is ``nu = 2 n+ - 2``, where ``n+`` counts the roots of ``q+`` inside
 the circle (:func:`_qplus_radii`). The same two radii give the phase
 diagram's boundary residual. ``E0^2 z^2 - P(z)`` does not factor, so
 ``w(E0)`` counts the zeros of quartics inside the circle by the Schur-Cohn
-test, without finding them (:func:`_zeros_inside`). Loops given as samples
-(measured or circuit loci) are wound by accumulating the phase differences
-of their determinants, each step bounded by pi in magnitude.
+test, without finding them (:func:`_zeros_inside`). A ring given by its
+three 2x2 blocks (a circuit's, or a measured one's) has ``P`` from their
+Pauli vectors, counted the same way (:func:`braiding_degree_of_blocks`).
+Sampled loops are wound by accumulating the phase differences of their
+determinants (:func:`braiding_degree_of_samples`, the tests' oracle).
 """
 
 from __future__ import annotations
@@ -92,10 +95,11 @@ def braiding_degree_of_samples(H_samples) -> int:
     """Braiding degree from 2x2 matrix samples over one closed k loop.
 
     The trace is subtracted pointwise before taking the determinant, so any
-    multiple of the identity added to the samples cancels. Useful when the
-    loop comes from measured data rather than model parameters; the loop
-    must be sampled finely enough that the determinant's phase never
-    advances by more than pi per step.
+    multiple of the identity added to the samples cancels. The loop must be
+    sampled finely enough that the determinant's phase never advances by
+    more than pi per step, or the result is silently wrong. An oracle for
+    :func:`braiding_degree` and :func:`braiding_degree_of_blocks`, which
+    count exactly; no command calls it.
     """
     H = np.asarray(H_samples, dtype=complex)
     if H.ndim != 3 or H.shape[1:] != (2, 2):
@@ -112,6 +116,32 @@ def braiding_degree_of_samples(H_samples) -> int:
             "braiding degree: determinant vanishes on the grid (exceptional point hit)"
         )
     return int(round(winding_number(det)))
+
+
+def braiding_degree_of_blocks(on, left, right) -> int:
+    """Braiding degree of the ring with 2x2 blocks on-site ``on``, leftward ``left`` and rightward ``right``.
+
+    With ``a``, ``b``, ``c`` their complex Pauli vectors, ``-z^2`` times the
+    determinant of the traceless Bloch matrix ``(a + b z + c / z) . sigma``
+    is the quartic ``[b.b, 2 a.b, a.a + 2 b.c, 2 a.c, c.c]`` (``u.v`` without
+    conjugation), counted by :func:`_zeros_inside`: no k grid, and the
+    identity parts of the blocks cancel. A root within ``ROOT_CIRCLE_TOL``
+    of ``|z| = 1``, or blocks whose traceless parts all vanish, raise
+    ``PhaseBoundaryError``; blocks that are not finite 2x2 matrices, or
+    whose quartic overflows, raise ``ValidationError``.
+    """
+    shapes = [np.shape(b) for b in (on, left, right)]
+    if shapes != [(2, 2)] * 3:
+        raise ValidationError(f"expected three 2x2 blocks, got shapes {shapes}")
+    m = np.array([on, left, right], dtype=complex).reshape(3, 4)
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("blocks contain non-finite entries")
+    m00, m01, m10, m11 = m.T
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is rejected as not finite
+        v = np.array([m01 + m10, 1j * (m01 - m10), m00 - m11]).T / 2.0  # rows: a, b, c
+        g = v @ v.T  # g[i, j] = v_i . v_j
+        row = np.array([[g[1, 1], 2.0 * g[0, 1], g[0, 0] + 2.0 * g[1, 2], 2.0 * g[0, 2], g[2, 2]]])
+    return int(_zeros_inside(row, PhaseBoundaryError, lambda i: "braiding degree")[0])
 
 
 def _quartic(t0, tL, tR, c: float) -> np.ndarray:

@@ -22,8 +22,8 @@ from nahn import (
     admittance_bloch,
     analytic_eigenvalues,
     band_resolved_winding,
-    bloch_samples_from_chain,
     braiding_degree,
+    braiding_degree_of_blocks,
     braiding_degree_of_samples,
     circuit_chain,
     classify_localization,
@@ -34,6 +34,7 @@ from nahn import (
     obc_eigenstates,
     real_space_hamiltonian,
     resonance_frequency,
+    ring_blocks,
     simulated_measurement,
     sort_bands_by_continuity,
     spectral_winding_profile,
@@ -41,7 +42,7 @@ from nahn import (
 )
 from nahn.circuit import NF
 from nahn.cli import main
-from nahn.model import SIGMA_0, SIGMA_X, SIGMA_Z
+from nahn.model import SIGMA_0, SIGMA_X, SIGMA_Z, bloch_sum
 from nahn.topology import NU_SENTINEL
 
 PBC = BoundaryCondition.PBC
@@ -178,9 +179,9 @@ def test_criterion_06_circuit_figure_verdicts():
         c = reference_circuit(*COMPONENT_SETS[name])
         p, _, _ = circuit_to_model(c)
         assert braiding_degree(p) == nu
-        ring = circuit_chain(c, 19, PBC)
-        loci = bloch_samples_from_chain(ring, KGrid(1024).values)
-        assert braiding_degree_of_samples(loci) == nu
+        blocks = ring_blocks(circuit_chain(c, 19, PBC))
+        assert braiding_degree_of_blocks(*blocks) == nu
+        assert braiding_degree_of_samples(bloch_sum(*blocks, KGrid(1024).values)) == nu
 
     mono = densities(eig_dense(circuit_chain(reference_circuit(10.0, 30.0), 47, OBC)))
     report = classify_localization(mono)
@@ -252,7 +253,7 @@ def test_criterion_09_measurement_round_trip():
             ring, 19, PBC, noise=MeasurementNoise(0.01, seed)
         )
         try:
-            if braiding_degree_of_samples(bloch_samples_from_chain(J_rec, ks)) == -2:
+            if braiding_degree_of_samples(bloch_sum(*ring_blocks(J_rec), ks)) == -2:
                 nu_hits += 1
         except Exception:
             pass

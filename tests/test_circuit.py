@@ -13,7 +13,6 @@ from nahn import (
     ValidationError,
     admittance_bloch,
     analytic_eigenvalues,
-    bloch_samples_from_chain,
     braiding_degree,
     braiding_degree_of_samples,
     circuit_chain,
@@ -22,10 +21,11 @@ from nahn import (
     m_coefficients,
     measure_admittance,
     resonance_frequency,
+    ring_blocks,
     simulated_measurement,
 )
 from nahn.circuit import NF, perturbed_components
-from nahn.model import SIGMA_0, SIGMA_X, SIGMA_Z
+from nahn.model import SIGMA_0, SIGMA_X, SIGMA_Z, bloch_sum
 
 PBC = BoundaryCondition.PBC
 OBC = BoundaryCondition.OBC
@@ -176,7 +176,14 @@ class TestCircuitChain:
             [right, on, left],
             [left, right, on],
         ])
-        assert np.array_equal(circuit_chain(c, 3, PBC, omega=w), expected)
+        J = circuit_chain(c, 3, PBC, omega=w)
+        assert np.array_equal(J, expected)
+        blocks = ring_blocks(J)
+        for got, want in zip(blocks, (on, left, right)):
+            assert np.array_equal(got, want)
+            assert not np.shares_memory(got, J)  # copies: the blocks do not keep the chain alive
+        with pytest.raises(ValidationError, match="at least 3 sites"):
+            ring_blocks(J[:4, :4])
 
     def test_two_site_ring_rejected(self):
         c = reference_circuit(20.0, 30.0)
@@ -256,7 +263,7 @@ class TestMeasurement:
         w0 = resonance_frequency(c)
         J_rec = simulated_measurement(c, 19, PBC)
         ks = KGrid(128).values
-        assert np.max(np.abs(bloch_samples_from_chain(J_rec, ks) - admittance_bloch(c, w0, ks))) \
+        assert np.max(np.abs(bloch_sum(*ring_blocks(J_rec), ks) - admittance_bloch(c, w0, ks))) \
             < 1e-9 * np.max(np.abs(admittance_bloch(c, w0, ks)))
 
     def test_seeded_noise_deterministic(self):
@@ -286,7 +293,7 @@ class TestMeasurement:
             J_rec = simulated_measurement(
                 c_ring, 19, PBC, noise=MeasurementNoise(0.01, seed)
             )
-            loci = bloch_samples_from_chain(J_rec, KGrid(1024).values)
+            loci = bloch_sum(*ring_blocks(J_rec), KGrid(1024).values)
             assert braiding_degree_of_samples(loci) == -2
 
     @pytest.mark.parametrize("sigma, seed", [

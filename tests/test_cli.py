@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import nahn
-from nahn import KGrid, bloch_hamiltonian, braiding_degree_of_samples, cli
-from nahn.circuit import NF, circuit_blocks
+from nahn import KGrid, bloch_hamiltonian, braiding_degree_of_samples, cli, topology
+from nahn.circuit import NF, admittance_bloch, circuit_blocks
 from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
@@ -648,6 +648,38 @@ class TestMeasureCommand:
     def test_model_config_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, MODEL_CFG + "chain_N = 10\n")
         assert main(["measure", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+#: fig3's inductors and resistor with C0, C1, C2 = 28.7, 7.0, 32.5 nF: a resonant ring
+#: whose determinant's phase advances by more than pi per step on a 16-point k grid
+COARSE_RING_CFG = "C0_nF = 28.7\nC1_nF = 7.0\nC2_nF = 32.5\nL0_uH = 0.95\nL1_uH = 4.4\nR0_ohm = 3.9\n" \
+    "boundary = PBC\nchain_N = 19\n"
+
+
+class TestRingBraidingCount:
+    @pytest.mark.parametrize("kpoints", ["16", "1024"])
+    @pytest.mark.parametrize("command", ["spectrum", "measure"])
+    def test_nu_independent_of_kpoints(self, tmp_path, command, kpoints):
+        # the ring's nu is counted from its blocks; the loci sampled at 16 k points wind 0 times
+        cfg = write_cfg(tmp_path, COARSE_RING_CFG)
+        out = tmp_path / "ring.csv"
+        assert main([command, "--config", str(cfg), "--kpoints", kpoints, "--out", str(out)]) == 0
+        header, _, _ = read_csv(out)
+        assert header["nu"] == -2
+        assert header["tolerances"] == {"root_circle": 1e-9}
+        c = load_config(cfg).circuit
+        loci = admittance_bloch(c, c.drive_frequency(), KGrid(int(kpoints)).values)
+        assert braiding_degree_of_samples(loci) == (0 if kpoints == "16" else -2)
+
+    def test_no_sampled_count(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the sampled braiding count was called")
+
+        monkeypatch.setattr(topology, "braiding_degree_of_samples", refuse)
+        for command in ("spectrum", "measure"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(RECIPES / "fig3b.cfg"), "--out", str(out)]) == 0
+            assert read_csv(out)[0]["nu"] == -2
 
 
 OPEN_CFG = MODEL_CFG.replace("boundary = PBC", "boundary = OBC\nchain_N = 10")

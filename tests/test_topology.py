@@ -17,27 +17,37 @@ from conftest import (
     winding_profile_loop,
 )
 from nahn import (
+    BoundaryCondition,
+    CircuitParams,
     EigensolverError,
     GaugeVector,
     KGrid,
+    MeasurementNoise,
     PhaseBoundaryError,
     ReferenceOnSpectrumError,
     ValidationError,
+    admittance_bloch,
     analytic_eigenvalues,
     band_resolved_winding,
     bloch_hamiltonian,
     braiding_degree,
+    braiding_degree_of_blocks,
     braiding_degree_of_samples,
     compute_phase_diagram,
     exceptional_scan,
+    resonance_frequency,
+    ring_blocks,
+    simulated_measurement,
     sort_bands_by_continuity,
     spectral_winding,
     spectral_winding_profile,
     winding_number,
 )
 from nahn import topology
+from nahn.circuit import circuit_blocks
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
+from nahn.model import chain_blocks
 from nahn.topology import NU_SENTINEL, _exact_zeros_inside, _median, _qplus_radii, _quartic, _zeros_inside
 
 
@@ -196,6 +206,71 @@ class TestBraidingDegree:
     def test_direction_reversal_negates(self, p1):
         H = bloch_hamiltonian(p1, KGrid(256).values)
         assert braiding_degree_of_samples(H[::-1]) == -braiding_degree_of_samples(H)
+
+
+FIG3_INDUCTORS = {"L0": 0.95, "L1": 4.4, "R0": 3.9}
+
+
+class TestBraidingDegreeOfBlocks:
+    def test_equal_to_model_count(self, p1, p2, p3):
+        # dL = +-dR puts P's double roots at the circle's tolerance (see CHANGES.md); every other model is counted
+        rng = np.random.default_rng(17)
+        models = [p1, p2, p3]
+        while len(models) < 200:
+            p = random_general(rng)
+            if abs(p.dL.dot(p.dR)) < 1.0 - 1e-6:
+                models.append(p)
+        for p in models:
+            assert braiding_degree_of_blocks(*chain_blocks(p)) == braiding_degree(p), p
+
+    def test_identity_parts_cancel(self, p1, p2, p3):
+        rng = np.random.default_rng(23)
+        for p in (p1, p2, p3):
+            nu = braiding_degree(p)
+            for _ in range(5):
+                shifts = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                blocks = [b + s * np.eye(2) for b, s in zip(chain_blocks(p), shifts)]
+                assert braiding_degree_of_blocks(*blocks) == nu
+
+    def test_equal_to_finely_sampled_circuits(self):
+        # C0, C1, C2 uniform in [1, 50] nF with fig3's inductors and resistor;
+        # every other circuit is driven at 0.7-1.3 times its resonance frequency
+        rng = np.random.default_rng(0)
+        ks = KGrid(16384).values
+        seen = set()
+        for i in range(200):
+            c = CircuitParams(*rng.uniform(1.0, 50.0, 3).tolist(), **FIG3_INDUCTORS)
+            w = resonance_frequency(c) * (rng.uniform(0.7, 1.3) if i % 2 else 1.0)
+            nu = braiding_degree_of_blocks(*circuit_blocks(c, w))
+            assert nu == braiding_degree_of_samples(admittance_bloch(c, w, ks)), (c, w)
+            seen.add(nu)
+        assert seen == {-2, 0, 2}
+
+    def test_noisy_measured_rings(self):
+        # fig3b measured at 1% component noise: its blocks carry the noise and round-off
+        c = CircuitParams(10.0, 20.0, 30.0, **FIG3_INDUCTORS)
+        for seed in range(10):
+            J_rec = simulated_measurement(c, 19, BoundaryCondition.PBC, noise=MeasurementNoise(0.01, seed))
+            assert braiding_degree_of_blocks(*ring_blocks(J_rec)) == -2
+
+    def test_vanishing_blocks_rejected(self):
+        zero = np.zeros((2, 2))
+        for blocks in ((zero, zero, zero), (np.eye(2), 2j * np.eye(2), zero)):
+            with pytest.raises(PhaseBoundaryError, match="vanishes identically"):
+                braiding_degree_of_blocks(*blocks)
+
+    def test_invalid_blocks_rejected(self, p1):
+        on, left, right = chain_blocks(p1)
+        for bad in (np.nan, np.inf):
+            broken = right.copy()
+            broken[1, 0] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                braiding_degree_of_blocks(on, left, broken)
+        with pytest.raises(ValidationError, match="three 2x2 blocks"):
+            braiding_degree_of_blocks(on, left, np.eye(3))
+        for scale in (1e200, 1e308):  # the quartic overflows; at 1e308 the Pauli vectors do too
+            with pytest.raises(ValidationError, match="not finite"):
+                braiding_degree_of_blocks(scale * on, left, right)
 
 
 class TestSpectralWinding:
