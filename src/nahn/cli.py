@@ -24,7 +24,7 @@ from . import topology as topo
 from .config import SETTINGS, RunConfig, load_config
 from .errors import NumericalError, SingularNetworkError, ValidationError
 from .eigensolve import Spectrum, chain_eig, eig_dense, eigvals2x2, sort_bands_by_continuity
-from .model import BoundaryCondition, analytic_eigenvalues, bloch_sum, chain_blocks
+from .model import BoundaryCondition, _eigenvalues_at, bloch_sum, chain_blocks
 from .output import build_header, write_report, write_table
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def run_spectrum(cfg: RunConfig, out: Path, fmt: str) -> None:
         _write_eigenvalues(out, fmt, header, spec.eigenvalues, drive)
     elif cfg.model is not None:
         nu = _nu(topo.braiding_degree, cfg.model)  # first: it rejects amplitudes that overflow the bands
-        e_plus, e_minus = analytic_eigenvalues(cfg.model, grid.values)
+        e_plus, e_minus = _eigenvalues_at(cfg.model, grid.phases)
         _write_bands(
             out, fmt, eff, grid, np.column_stack([e_plus, e_minus]),
             ep_tol=cfg.ep_tol, tolerances={"root_circle": topo.ROOT_CIRCLE_TOL},

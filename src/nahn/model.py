@@ -145,7 +145,11 @@ def analytic_eigenvalues(p: ModelParams, k):
     Accepts scalar or array ``k``. ``e^{-ik}`` is taken as the conjugate
     of ``e^{ik}``, which has the bits of the exponential of ``-ik``.
     """
-    phase = np.exp(1j * np.asarray(k, dtype=float))
+    return _eigenvalues_at(p, np.exp(1j * np.asarray(k, dtype=float)))
+
+
+def _eigenvalues_at(p: ModelParams, phase):
+    """:func:`analytic_eigenvalues` at the unit phases ``phase = e^{ik}``, for callers that keep them."""
     a = p.t0 + p.tR * phase.conj()
     b = p.tL * phase
     e_plus = np.sqrt(a * a + b * b + 2.0 * a * b * p.dL.dot(p.dR))

@@ -14,17 +14,23 @@ The model's ``P`` factors: with ``cos(theta) = dL.dR`` it is ``q+ q-``,
 the roots of ``q-`` are the conjugates of those of ``q+``, and the braiding
 degree is ``nu = 2 n+ - 2``, where ``n+`` counts the roots of ``q+`` inside
 the circle (:func:`_qplus_radii`). The same two radii give the phase
-diagram's boundary residual. ``E0^2 z^2 - P(z)`` does not factor, so
-``w(E0)`` counts the zeros of quartics inside the circle by the Schur-Cohn
-test, without finding them (:func:`_zeros_inside`). A ring given by its
-three 2x2 blocks (a circuit's, or a measured one's) has ``P`` from their
-Pauli vectors, counted the same way (:func:`braiding_degree_of_blocks`).
-Sampled loops are wound by accumulating the phase differences of their
-determinants (:func:`braiding_degree_of_samples`, the tests' oracle).
+diagram's boundary residual, and ``w(0) = nu``. Elsewhere
+``E0^2 z^2 - P(z)`` does not factor, so ``w(E0)`` counts the zeros of
+quartics inside the circle by the Schur-Cohn test, without finding them
+(:func:`_zeros_inside`): one row, as for a single energy, by a plain-Python
+loop, and many rows, as for a profile, by one stack of numpy arrays. A ring
+given by its three 2x2 blocks (a circuit's, or a measured one's) has ``P``
+from their Pauli vectors, counted the same way
+(:func:`braiding_degree_of_blocks`). Sampled loops are wound by
+accumulating the phase differences of their determinants
+(:func:`braiding_degree_of_samples`, the tests' oracle). A :class:`KGrid`'s
+samples and phases ``e^{ik}`` are computed once per point count.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .eigensolve import BandTrajectories, _single_threaded_blas
-from .model import GaugeVector, ModelParams, analytic_eigenvalues
+from .model import GaugeVector, ModelParams, _eigenvalues_at
 
 DEFAULT_KPOINTS = 1024
 
@@ -62,10 +68,37 @@ NU_SENTINEL = 127
 STANDARD_DL = GaugeVector(0.0, 0.0, 1.0)
 STANDARD_DR = GaugeVector(1.0, 0.0, 0.0)
 
+_EPS = float(np.finfo(float).eps)
+
+
+def _powers(offset: float) -> np.ndarray:
+    """``r^k``, ``k = 0 .. 4``, of the radii ``r = 1 -+ offset``: one row per radius."""
+    return (1.0 + np.array([-offset, offset]))[:, None] ** np.arange(5)
+
+
+#: Powers of the radii at which :func:`_zeros_inside` counts, and of the wider
+#: pair it tries before the exact recount.
+_NARROW = _powers(ROOT_CIRCLE_TOL)
+_WIDE = _powers(math.sqrt(ROOT_CIRCLE_TOL))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_arrays(n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only samples ``k`` of an ``n_points`` grid and their unit phases ``e^{ik}``, shared by every such grid."""
+    k = 2.0 * np.pi * np.arange(n_points) / n_points
+    phases = np.exp(1j * k)
+    k.flags.writeable = phases.flags.writeable = False
+    return k, phases
+
 
 @dataclass(frozen=True)
 class KGrid:
-    """Uniform closed momentum grid: n points over [0, 2*pi), first point 0."""
+    """Uniform closed momentum grid: n points over [0, 2*pi), first point 0.
+
+    ``values`` and ``phases`` (``e^{ik}``) are read-only arrays, computed
+    once per point count for the last few counts used and shared by every
+    grid of that size.
+    """
 
     n_points: int = DEFAULT_KPOINTS
 
@@ -75,7 +108,11 @@ class KGrid:
 
     @property
     def values(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
+        return _grid_arrays(self.n_points)[0]
+
+    @property
+    def phases(self) -> np.ndarray:
+        return _grid_arrays(self.n_points)[1]
 
 
 def winding_number(values) -> float:
@@ -184,6 +221,11 @@ def _qplus_radii(t0: float, tL, tR, c: float) -> np.ndarray:
         return np.array([np.abs(q) / np.abs(a), abs(c0) / np.abs(q)]).T
 
 
+def _where(radii: np.ndarray) -> str:
+    """Where the determinant of a model whose ``q+`` has ``radii`` and is not counted vanishes."""
+    return "identically" if np.isnan(radii[0]) else "on the momentum loop (root on |z| = 1)"
+
+
 def _root_count(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of root radii (the last axis): whether none lies within ``ROOT_CIRCLE_TOL`` of ``|z| = 1``
     (False where a radius is NaN), and how many lie inside ``|z| < 1``."""
@@ -193,9 +235,9 @@ def _root_count(radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
     """Roots inside ``|z| < 1`` minus 2 of each quartic row: the winding of ``poly(z) / z^2`` on ``|z| = 1``.
 
-    All rows at once, by the Schur-Cohn test (Schur 1917; Cohn 1922; Marden,
-    *Geometry of Polynomials*, ch. X): for ``p`` of formal degree ``m``,
-    ``a_k`` its coefficient of ``z^k`` and ``p*(z) = z^m conj(p(1/conj z))``,
+    By the Schur-Cohn test (Schur 1917; Cohn 1922; Marden, *Geometry of
+    Polynomials*, ch. X): for ``p`` of formal degree ``m``, ``a_k`` its
+    coefficient of ``z^k`` and ``p*(z) = z^m conj(p(1/conj z))``,
     ``Tp = conj(a_0) p - a_m p*`` has degree ``m - 1`` and the constant
     ``|a_0|^2 - |a_m|^2``. As ``|p*| = |p|`` on the circle, ``p`` has as many
     zeros inside as ``Tp`` where that constant is positive, and ``m`` minus
@@ -204,34 +246,99 @@ def _zeros_inside(rows: np.ndarray, error: type, what) -> np.ndarray:
     number of negative constants. A row counts at ``p(rz)``,
     ``r = 1 -+ ROOT_CIRCLE_TOL``, when every constant exceeds a bound on its
     rounding error and the two counts agree: no root then lies within
-    ``ROOT_CIRCLE_TOL`` of the circle. Other rows are counted again exactly
+    ``ROOT_CIRCLE_TOL`` of the circle.
+
+    One row is counted by a plain-Python loop (:func:`_row_zeros_inside`),
+    many rows by one stack of numpy arrays (:func:`_rounded_zeros_inside`);
+    a row the loop leaves undecided goes to the stack. Rows the stack leaves
+    undecided are counted again at ``r = 1 -+ sqrt(ROOT_CIRCLE_TOL)``: two
+    decided, equal counts there put no root in that wider annulus, so none
+    in the narrow one. Only the rest are counted exactly
     (:func:`_exact_zeros_inside`): with ``tL = tR`` a constant can be second
-    order in ``ROOT_CIRCLE_TOL``, and with ``tL = tR = 0`` one is 0. The
-    first row, in order, that is still not counted raises, as a loop would:
-    ``error`` when it vanishes identically or has a root near the circle,
-    ``ValidationError`` when it is not finite. ``what(i)`` names row ``i``.
+    order in the radii's offset from 1, and with ``tL = tR = 0`` one is 0.
+    The first row, in order, that is still not counted raises, as a loop
+    would: ``error`` when it vanishes identically or has a root near the
+    circle, ``ValidationError`` when it is not finite. ``what(i)`` names row
+    ``i``.
     """
-    radii = 1.0 + np.array([-ROOT_CIRCLE_TOL, ROOT_CIRCLE_TOL])
+    if len(rows) == 1:
+        inside = _row_zeros_inside(rows[0].tolist())
+        if inside is not None:
+            return np.array([inside - 2])
+    counted, inside = _rounded_zeros_inside(rows, _NARROW)
+    undecided = np.flatnonzero(~counted).tolist()
+    if undecided:
+        wide_counted, wide_inside = (x.tolist() for x in _rounded_zeros_inside(rows[undecided], _WIDE))
+    for j, i in enumerate(undecided):
+        if not rows[i].any():
+            raise error(f"{what(i)}: determinant vanishes identically")
+        _require_finite(rows[i])
+        if wide_counted[j]:
+            inside[i] = wide_inside[j]
+            continue
+        exact = [_exact_zeros_inside(rows[i, ::-1].tolist(), r) for r in _NARROW[:, 1].tolist()]
+        if None in exact or exact[0] != exact[1]:
+            raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
+        inside[i] = exact[0]
+    return inside - 2
+
+
+def _rounded_zeros_inside(rows: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: whether the rounded Schur-Cohn count of :func:`_zeros_inside` decides it, and its zeros inside.
+
+    All rows at once, at the two radii whose powers ``r^0 .. r^4`` are the
+    rows of ``powers``. A row is decided when every constant exceeds its
+    rounding-error bound, ``16 (err / scale + eps)`` per step, at both radii
+    and the two counts agree. A row that vanishes or is not finite reads
+    NaN, and one whose error bound overflows 0: neither is decided.
+    """
     constants, err = np.empty((4, 2, len(rows))), 0.0  # each constant in units of its rounding-error bound
-    # a row that vanishes or is not finite reads NaN, and one whose error bound overflows 0: undecided
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a = np.multiply(rows[:, ::-1], radii[:, None, None] ** np.arange(5), dtype=complex)
+        a = np.multiply(rows[:, ::-1], powers[:, None], dtype=complex)
         for m in range(4, 0, -1):
             scale = np.abs(a.view(float)).max(axis=-1)
             a /= scale[..., None]
             a = a[..., :1].conj() * a[..., :m] - a[..., m:] * a[..., m:0:-1].conj()
-            err = 16.0 * (err / scale + np.finfo(float).eps)  # first order; the coefficients have |a_k| <= sqrt(2)
+            err = 16.0 * (err / scale + _EPS)  # first order; the coefficients have |a_k| <= sqrt(2)
             constants[4 - m] = a[..., 0].real / err
     inside = np.logical_xor.accumulate(constants < 0).sum(axis=0)
-    for i in np.flatnonzero(~(np.abs(constants) > 1.0).all(axis=(0, 1)) | (inside[0] != inside[1])).tolist():
-        if not rows[i].any():
-            raise error(f"{what(i)}: determinant vanishes identically")
-        _require_finite(rows[i])
-        exact = [_exact_zeros_inside(rows[i, ::-1].tolist(), r) for r in radii.tolist()]
-        if None in exact or exact[0] != exact[1]:
-            raise error(f"{what(i)}: determinant vanishes on the momentum loop (root on |z| = 1)")
-        inside[0, i] = exact[0]
-    return inside[0] - 2
+    return (np.abs(constants) > 1.0).all(axis=(0, 1)) & (inside[0] == inside[1]), inside[0]
+
+
+def _row_zeros_inside(row: list) -> int | None:
+    """Zeros inside ``|z| < 1`` of one row of five coefficients, highest power first, by plain-Python arithmetic.
+
+    The recursion and decision rule of :func:`_rounded_zeros_inside` at
+    ``r = 1 -+ ROOT_CIRCLE_TOL``, without numpy's set-up cost. Each step is
+    divided by its largest coefficient modulus (the stack takes the largest
+    real or imaginary part), and that division is folded into the step's
+    products. None where the row is not finite, vanishes, overflows, or is
+    left undecided.
+    """
+    if not all(map(cmath.isfinite, row)):
+        return None
+    counts = set()
+    for powers in _NARROW.tolist():
+        a = [c * r for c, r in zip(row[::-1], powers)]
+        err, odd, inside = 0.0, False, 0
+        for m in range(4, 0, -1):
+            try:
+                scale = max(map(abs, a))
+            except OverflowError:  # a modulus beyond the float range
+                return None
+            if scale == 0.0:
+                return None
+            inv = 1.0 / scale
+            a0, am = a[0].conjugate() * inv, a[m] * inv
+            a = [(a0 * ak - am * aj.conjugate()) * inv for ak, aj in zip(a[:m], a[m:0:-1])]
+            err = 16.0 * (err * inv + _EPS)
+            constant = a[0].real / err
+            if not abs(constant) > 1.0:
+                return None
+            odd ^= constant < 0.0
+            inside += odd
+        counts.add(inside)
+    return inside if len(counts) == 1 else None
 
 
 def _exact_zeros_inside(p: list, r: float) -> int | None:
@@ -261,13 +368,18 @@ def _exact_zeros_inside(p: list, r: float) -> int | None:
 def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
     """Point-gap windings around each reference energy of the complex array ``E0``, by one root count.
 
-    Row ``i`` is ``P(z) - E0[i]^2 z^2``. The energies are checked in order,
-    and the first that cannot be counted raises what
-    :func:`spectral_winding` raises for it; one that is not finite, or whose
-    square overflows, raises ``ValidationError``.
+    Row ``i`` is ``P(z) - E0[i]^2 z^2``. At ``E0 = 0`` it is ``-q+ q-``, so
+    ``w(0) = 2 n+ - 2``, the braiding degree, from the two radii of ``q+``
+    (:func:`_qplus_radii`): the quartic's double roots, which rounding
+    splits, are not counted. The energies are checked in order, and the
+    first that cannot be counted raises what :func:`spectral_winding`
+    raises for it; one that is not finite, or whose square overflows,
+    raises ``ValidationError``.
     """
+    c = p.dL.dot(p.dR)
+    quartic = _quartic(p.t0, p.tL, p.tR, c)
     rows = np.empty((len(E0), 5), dtype=complex)
-    rows[:] = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))
+    rows[:] = quartic
     re, im = E0.real, E0.imag
     square = np.empty_like(E0)
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
@@ -276,8 +388,23 @@ def _windings(p: ModelParams, E0: np.ndarray) -> np.ndarray:
         square.imag = 2.0 * (re * im)
         rows[:, 2] -= square
     finite = np.isfinite(square)
-    n = len(E0) if finite.all() else finite.argmin()
-    w = _zeros_inside(rows[:n], ReferenceOnSpectrumError, lambda i: f"spectral winding at {complex(E0[i])}")
+    n = len(E0) if finite.all() else int(finite.argmin())  # energies before the first that raises ValidationError
+    if E0[:n].all() or not np.isfinite(quartic).all():  # the row count refuses an overflowing quartic
+        w = _zeros_inside(rows[:n], ReferenceOnSpectrumError, lambda i: f"spectral winding at {complex(E0[i])}")
+    else:
+        radii = _qplus_radii(p.t0, p.tL, p.tR, c)
+        counted, inside = _root_count(radii)
+        zero = E0[:n] == 0
+        if not counted:
+            n = int(zero.argmax())  # the first E0 = 0 raises, after the energies before it
+            zero = zero[:n]
+        w = np.full(n, 2 * inside - 2)
+        rest = np.flatnonzero(~zero)
+        w[rest] = _zeros_inside(rows[rest], ReferenceOnSpectrumError,
+                                lambda i: f"spectral winding at {complex(E0[rest[i]])}")
+        if not counted:
+            raise ReferenceOnSpectrumError(
+                f"spectral winding at {complex(E0[n])}: determinant vanishes {_where(radii)}")
     if n < len(E0):
         raise ValidationError(f"reference energy E0 = {complex(E0[n])} is not finite or its square overflows")
     return w
@@ -299,8 +426,7 @@ def braiding_degree(p: ModelParams, grid: KGrid | None = None) -> int:
     radii = _qplus_radii(p.t0, p.tL, p.tR, c)
     counted, inside = _root_count(radii)
     if not counted:
-        where = "identically" if np.isnan(radii[0]) else "on the momentum loop (root on |z| = 1)"
-        raise PhaseBoundaryError(f"braiding degree: determinant vanishes {where}")
+        raise PhaseBoundaryError(f"braiding degree: determinant vanishes {_where(radii)}")
     return 2 * int(inside) - 2
 
 
@@ -355,7 +481,7 @@ def spectral_winding_profile(
     _require_finite(_quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR)))
     grid = grid or KGrid()
     with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-        spectrum = np.concatenate(analytic_eigenvalues(p, grid.values))
+        spectrum = np.concatenate(_eigenvalues_at(p, grid.phases))
         if not np.all(np.isfinite(spectrum)):
             raise ValidationError("amplitudes too large: the sampled Bloch spectrum is not finite")
         re_lo, re_hi = spectrum.real.min(), spectrum.real.max()
@@ -427,13 +553,13 @@ def exceptional_scan(p: ModelParams, grid: KGrid | None = None, tol: float = EP_
     """
     if not 0.0 < tol < 1.0:
         raise ValidationError(f"exceptional-point tolerance must satisfy 0 < tol < 1, got {tol}")
-    k = (grid or KGrid()).values
-    e_plus, e_minus = analytic_eigenvalues(p, k)
+    grid = grid or KGrid()
+    e_plus, e_minus = _eigenvalues_at(p, grid.phases)
     gap = np.abs(e_plus - e_minus)
     scale = gap.max()
     if scale == 0.0:
-        return k
-    return k[gap < tol * scale]
+        return grid.values.copy()
+    return grid.values[gap < tol * scale]
 
 
 @dataclass

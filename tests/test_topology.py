@@ -47,8 +47,17 @@ from nahn import topology
 from nahn.circuit import circuit_blocks
 from nahn.errors import NumericalError
 from nahn.eigensolve import _openblas_thread_controls
-from nahn.model import chain_blocks
-from nahn.topology import NU_SENTINEL, _exact_zeros_inside, _median, _qplus_radii, _quartic, _zeros_inside
+from nahn.model import _eigenvalues_at, chain_blocks
+from nahn.topology import (
+    NU_SENTINEL,
+    _exact_zeros_inside,
+    _median,
+    _qplus_radii,
+    _quartic,
+    _row_zeros_inside,
+    _windings,
+    _zeros_inside,
+)
 
 
 def bisect_boundary(tL, lo, hi, iterations=60):
@@ -366,6 +375,49 @@ class TestSpectralWinding:
         with pytest.raises(ReferenceOnSpectrumError, match="identically"):
             spectral_winding(on_site, 1.3)
 
+    def test_zero_reference_on_double_root_refused(self):
+        # dL = dR and tL = tR: P = q+^2 with q+ = tL z^2 + t0 z + tL, whose roots lie on
+        # |z| = 1 where t0 < 2 tL, so E0 = 0 lies on the spectrum +-(t0 + 2 tL cos k). Rounding
+        # the quartic splits its double roots off the circle, so its count cannot refuse all of
+        # those 115 models; q+'s radii do, and the others wind 0
+        rng = np.random.default_rng(4)
+        refused = counted = 0
+        for _ in range(150):
+            t0, tL = rng.uniform(0.05, 3.0, size=2)
+            p = params(t0, tL, tL, DR, DR)
+            if t0 < 2.0 * tL:
+                with pytest.raises(ReferenceOnSpectrumError, match=r"at 0j: .*\(root on \|z\| = 1\)"):
+                    spectral_winding(p, 0.0)
+                refused += 1
+            else:
+                assert spectral_winding(p, 0.0) == 0
+                counted += 1
+        assert (refused, counted) == (115, 35)
+
+    def test_zero_reference_equal_to_braiding_degree(self, p1, p2, p3):
+        # P = q+ q-, so w(0) = 2 n+ - 2 = nu; the quartic's count agrees away from the circle
+        rng = np.random.default_rng(12)
+        for p in (p1, p2, p3, *(random_general(rng) for _ in range(200))):
+            nu = braiding_degree(p)
+            assert spectral_winding(p, 0.0) == spectral_winding(p, complex(-0.0, -0.0)) == nu
+            row = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR))[None]
+            assert outcome(lambda: int(_zeros_inside(row, PhaseBoundaryError, str)[0])) == repr(nu)
+
+    def test_zero_reference_refused_in_order(self):
+        # the first energy, in order, that cannot be counted raises: a zero on the spectrum
+        # before an overflowing square, and the other way round; counted energies before it
+        # do not raise, and one that overflows the amplitudes raises ValidationError at 0 too
+        p = params(1.0, 0.8, 0.8, DR, DR)
+        with pytest.raises(ReferenceOnSpectrumError, match="at 0j: .*root on"):
+            _windings(p, np.array([5.0, 0.0, 1e200], dtype=complex))
+        with pytest.raises(ValidationError, match="E0"):
+            _windings(p, np.array([5.0, 1e200, 0.0], dtype=complex))
+        assert _windings(params(1.0, 0.3, 0.3, DR, DR), np.array([5.0, 0.0, 0.0], dtype=complex)).tolist() == [0, 0, 0]
+        with pytest.raises(ReferenceOnSpectrumError, match="at 0j: .* identically"):
+            spectral_winding(params(0.0, 0.0, 0.0), 0.0)
+        with pytest.raises(ValidationError, match="amplitudes too large"):
+            spectral_winding(params(1.0, 1e160, 3.0), 0.0)
+
     def test_direction_reversal_negates(self, p3):
         E0 = -2.0 + 0.0j
         H = bloch_hamiltonian(p3, KGrid(512).values) - E0 * np.eye(2)
@@ -383,16 +435,74 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+def seeded_rows():
+    """Two seeded stacks of quartic rows, real and complex, with zero coefficients in every position."""
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((3000, 5)) * 10.0 ** rng.uniform(-3, 3, (3000, 5))
+    rows[rng.random(rows.shape) < 0.15] = 0.0
+    rows = np.vstack([rows[rows.any(axis=1)], [[0, 0, 1, 2, 3], [1, 2, 3, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 5]]])
+    return rows, rows + 1j * rng.standard_normal(rows.shape) * (rows != 0)
+
+
+def winding_row(p, E0):
+    """The row ``P(z) - E0^2 z^2`` of a reference energy, as ``spectral_winding`` counts it."""
+    row = _quartic(p.t0, p.tL, p.tR, p.dL.dot(p.dR)).astype(complex)
+    row[2] -= complex(E0) ** 2
+    return row
+
+
+def near_spectrum_rows(rng, n):
+    """Rows of random models at a Bloch eigenvalue plus an offset ``10^-U(2, 12)``: roots near ``|z| = 1``."""
+    rows = []
+    for _ in range(n):
+        p = random_general(rng)
+        E = complex(analytic_eigenvalues(p, rng.uniform(0, 2 * np.pi))[0])
+        rows.append(winding_row(p, E + 10.0 ** -rng.uniform(2, 12) * np.exp(1j * rng.uniform(0, 2 * np.pi))))
+    return np.array(rows)
+
+
+def ill_scaled_rows(rng, n):
+    """Rows of random models with ``tL = 10^-U(1, 160)``: coefficients far apart in scale."""
+    rows = []
+    for _ in range(n):
+        p = random_general(rng)
+        p = params(p.t0, 10.0 ** -rng.uniform(1, 160), p.tR, p.dL, p.dR)
+        rows.append(winding_row(p, complex(*rng.uniform(-4, 4, 2))))
+    return np.array(rows)
+
+
+def recount_rows(rng):
+    """Rows the rounded count at ``1 -+ ROOT_CIRCLE_TOL`` leaves undecided: ``tL = tR`` with ``dL = -dR``
+    at random energies, and ``dL = dR`` at ``E0 = 0`` with ``t0 > 2 tL``."""
+    rows = []
+    for _ in range(40):
+        t0, t = rng.uniform(0.05, 3.0, 2)
+        anti = _quartic(t0, t, t, -1.0).astype(complex)
+        anti[2] -= complex(*rng.uniform(-4.0, 4.0, 2)) ** 2
+        rows += [anti, -_quartic(2.0 * t * rng.uniform(1.2, 3.0), t, t, 1.0)]
+    return rows
+
+
+def annulus_rows(rng):
+    """Rows with ``tL = tR`` and ``dL = -dR`` whose ``E0`` puts a root ``z1`` between 1e-8 and 1e-5 from ``|z| = 1``.
+
+    Such a row is unchanged, up to ``z^4``, by ``z -> -1 / z``, so ``-1 / z1`` is a root too.
+    """
+    rows = []
+    for _ in range(40):
+        t0, t = rng.uniform(0.05, 3.0, 2)
+        row = _quartic(t0, t, t, -1.0).astype(complex)
+        z1 = (1.0 + 10.0 ** rng.uniform(-8, -5)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        row[2] -= np.polyval(row, z1) / z1**2
+        rows.append(row)
+    return rows
+
+
 class TestStackedRootRadii:
     def test_decisions_equal_to_np_roots(self):
         # one stack mixes every zero trimming; each row whose roots all lie 1e-6 or more from
         # |z| = 1 gets np.roots's count, in the stack and alone
-        rng = np.random.default_rng(3)
-        rows = rng.standard_normal((3000, 5)) * 10.0 ** rng.uniform(-3, 3, (3000, 5))
-        rows[rng.random(rows.shape) < 0.15] = 0.0
-        rows = np.vstack([rows[rows.any(axis=1)], [[0, 0, 1, 2, 3], [1, 2, 3, 0, 0], [0, 1, 0, 0, 0], [0, 0, 0, 0, 5]]])
-        complex_rows = rows + 1j * rng.standard_normal(rows.shape) * (rows != 0)
-        for stack in (rows, complex_rows):
+        for stack in seeded_rows():
             radii = [np.abs(np.roots(row)) for row in stack]
             clear = np.array([np.all(np.abs(r - 1.0) >= 1e-6) for r in radii])
             assert clear.sum() > 0.99 * len(stack)
@@ -407,25 +517,64 @@ class TestStackedRootRadii:
         # coefficients far apart in scale: np.roots loses the roots near |z| = 3.33, the count does not
         assert _zeros_inside(np.array([[1e-300, 0, 0.09, 0.6, 1]]), PhaseBoundaryError, str).tolist() == [-2]
 
+    def test_one_row_path_equal_to_stacked_path(self):
+        # a single row is counted by the plain-Python loop, falling back to the stack where
+        # the loop leaves it undecided; two copies of the row take the stack alone. Counts
+        # and raised errors are equal on every row: the seeded sets above, energies near the
+        # Bloch spectrum, amplitudes far apart in scale, rows that need the wider annulus or
+        # the exact recount, and the rows that raise
+        special = np.array([[1, 0, -4.25, 0, 1], [1, 0, -5, 0, 4], [np.inf, 0, 1, 0, 1], [np.nan, 0, 1, 0, 1],
+                            [1e-320, 0, 1, 0, 1], [0, 0, 0, 0, 0], [1e-300, 0, 0.09, 0.6, 1], [0, 0, 0, 0, 5],
+                            [1e-320, 0, 0, 0, 1e-320], [5e-324, 1, 0, 0, 0]], dtype=complex)
+        sets = [*seeded_rows(), near_spectrum_rows(np.random.default_rng(5), 1500),
+                ill_scaled_rows(np.random.default_rng(6), 300),
+                np.array(recount_rows(np.random.default_rng(8)) + annulus_rows(np.random.default_rng(9))), special]
+        decided = total = 0
+        for stack in sets:
+            for row in stack:
+                alone = outcome(lambda: _zeros_inside(row[None], PhaseBoundaryError, str).tolist())
+                stacked = outcome(lambda: _zeros_inside(np.array([row, row]), PhaseBoundaryError, str).tolist()[:1])
+                assert alone == stacked
+                decided += _row_zeros_inside(row.tolist()) is not None
+                total += 1
+        assert decided > 0.85 * total  # the rest: roots near the circle, or rows that vanish or overflow
+
     def test_rounded_recursion_undecided_rows_counted_exactly(self, monkeypatch):
         # tL = tR puts |a_0| = |a_4|, so a constant is only first order in the radii's offset
         # from 1; with dL = -dR a later one is second order, and with dL = dR and E0 = 0
         # (P = q+^2, q+ palindromic with roots r and 1 / r) so is one of a double root. The
-        # rounded recursion cannot sign those constants, and exact arithmetic settles them
-        rng = np.random.default_rng(8)
-        rows = []
-        for _ in range(40):
-            t0, t = rng.uniform(0.05, 3.0, 2)
-            anti = _quartic(t0, t, t, -1.0).astype(complex)
-            anti[2] -= complex(*rng.uniform(-4.0, 4.0, 2)) ** 2
-            rows += [anti, -_quartic(2.0 * t * rng.uniform(1.2, 3.0), t, t, 1.0)]
-        for row in rows:
+        # rounded recursion cannot sign those constants. The antiparallel rows with a root
+        # between 1e-8 and 1e-5 from |z| = 1 are left undecided at 1 -+ sqrt(1e-9) too, and
+        # exact arithmetic settles them
+        rows = recount_rows(np.random.default_rng(8))
+        near = annulus_rows(np.random.default_rng(9))
+        for row in rows + near:
             expected = int(np.sum(np.abs(np.roots(row)) < 1.0)) - 2
             assert _zeros_inside(row[None], PhaseBoundaryError, str).tolist() == [expected]
         monkeypatch.setattr(topology, "_exact_zeros_inside", lambda p, r: None)
-        for row in rows:
+        for row in near:
             with pytest.raises(PhaseBoundaryError, match="root on"):
                 _zeros_inside(row[None], PhaseBoundaryError, str)
+
+    def test_wider_annulus_decides_without_exact_recount(self, monkeypatch):
+        # the antiparallel rows above have no root near the circle, and all but one are
+        # decided at 1 -+ sqrt(1e-9), where two equal counts put no root between the radii, so
+        # none between 1 -+ 1e-9; so is every probe of a 20x20 profile of such a model. The
+        # double roots of dL = dR at E0 = 0 leave a constant 0 at every radius, and w(0)
+        # counts q+'s radii instead
+        anti = recount_rows(np.random.default_rng(8))[::2]
+        expected = [int(np.sum(np.abs(np.roots(row)) < 1.0)) - 2 for row in anti]
+        exact = []
+        monkeypatch.setattr(topology, "_exact_zeros_inside", lambda p, r: exact.append(r) or _exact_zeros_inside(p, r))
+        assert _zeros_inside(np.array(anti), PhaseBoundaryError, str).tolist() == expected
+        assert len(exact) == 2  # one row, at two radii
+        exact.clear()
+        model = params(1.0, 0.8, 0.8, GaugeVector(-1.0, 0.0, 0.0), DR)
+        profile = spectral_winding_profile(model, 20, 20, 0.05)
+        assert profile == winding_profile_loop(model, 20, 20, 0.05)
+        assert sum(w is not None for _, w in profile) > 300
+        assert [spectral_winding(params(2.0 * t * f, t, t, DR, DR), 0.0) for t, f in ((0.8, 1.2), (2.5, 3.0))] == [0, 0]
+        assert exact == []
 
     @pytest.mark.parametrize("rows, error, message", [
         ([[1, 0, -4.25, 0, 1], [1, 0, -5, 0, 4], [np.inf, 0, 1, 0, 1]], PhaseBoundaryError, "row 1: .*root on"),
@@ -548,7 +697,8 @@ class TestWindingProfile:
         (params(1.0, 0.7, 0.7, DR, DR), 0.25),
         # dL = -dR and tL = tR: the spectrum is two vertical segments on the box's left and right
         # edges, where probes between samples have a root on |z| = 1; the rows of the probes
-        # inside are left undecided by the rounded recursion and counted exactly
+        # inside are left undecided by the rounded recursion at 1 -+ 1e-9 and counted at the
+        # wider radii
         (params(1.0, 0.8, 0.8, GaugeVector(-1.0, 0.0, 0.0), DR), 0.0),
         # probes so far out that their squares overflow
         (params(1.0, 1.2, 0.9), 1e160),
@@ -773,6 +923,33 @@ class TestExceptionalScan:
         # with every amplitude 0 the two bands coincide at each k
         grid = KGrid(16)
         assert np.array_equal(exceptional_scan(params(0.0, 0.0, 0.0), grid), grid.values)
+
+    def test_result_never_the_cached_grid(self, p3):
+        # the zero-gap scan returns every k: a copy, not the grid's shared read-only array
+        grid = KGrid(16)
+        for p in (params(0.0, 0.0, 0.0), p3):
+            scan = exceptional_scan(p, grid, 0.9)
+            assert scan.flags.writeable and not np.shares_memory(scan, grid.values)
+
+
+class TestKGrid:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 1000, 1024, 4097])
+    def test_cached_arrays_bit_for_bit_and_read_only(self, n):
+        grid, k = KGrid(n), 2.0 * np.pi * np.arange(n) / n
+        assert grid.values.tobytes() == k.tobytes()
+        assert grid.phases.tobytes() == np.exp(1j * k).tobytes()
+        assert KGrid(n).values is grid.values and KGrid(n).phases is grid.phases
+        for shared in (grid.values, grid.phases):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 1.0
+
+    def test_bands_at_cached_phases_equal_to_analytic_eigenvalues(self, p1, p2, p3):
+        for p in (p1, p2, p3, params(1.0, 1e-160, 3.0)):
+            for n in (16, 1024):
+                got = _eigenvalues_at(p, KGrid(n).phases)
+                expected = analytic_eigenvalues(p, 2.0 * np.pi * np.arange(n) / n)
+                assert [e.tobytes() for e in got] == [e.tobytes() for e in expected]
 
 
 class TestPhaseDiagram:
