@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import typing
 from dataclasses import dataclass
@@ -13,6 +12,15 @@ from .errors import ValidationError
 from .model import BoundaryCondition, GaugeVector, ModelParams
 from .skin import DEFAULT_THRESHOLD, DEFAULT_WINDOW_FRACTION
 from .topology import DEFAULT_KPOINTS, EP_TOL
+
+# CPython's built-in SHA-256, not hashlib's OpenSSL one (see config_hash)
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:  # built without it, e.g. --with-builtin-hashlib-hashes=blake2
+        from hashlib import sha256 as _sha256
 
 
 @dataclass
@@ -177,6 +185,13 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
 
 def config_hash(effective: dict) -> str:
-    """Stable digest of the fully resolved run parameters."""
+    """Stable digest of the fully resolved run parameters: the SHA-256 hex of their canonical JSON.
+
+    The digest comes from CPython's built-in SHA-256 (``_sha2``, or ``_sha256``
+    before 3.12), the same bytes as ``hashlib.sha256``; ``import hashlib``
+    would load OpenSSL, about 3.5 MB of a sweep process's resident memory,
+    for one short digest. Only an interpreter built without that module
+    falls back to ``hashlib``.
+    """
     canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _sha256(canonical.encode()).hexdigest()

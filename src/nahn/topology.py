@@ -32,6 +32,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -594,9 +595,10 @@ def compute_phase_diagram(
     (sentinel where :func:`braiding_degree` rejects) and its boundary
     residual. A cell is only the boundary-density contrast of an open chain
     with ``chain_N`` sites. Cells go to a thread pool of ``threads``
-    workers. The loaded OpenBLAS runs on one thread for the length of the
-    sweep, so the pool is its only parallelism and the output does not
-    depend on the pool width or the BLAS thread setting.
+    workers, by default one per CPU the process may run on. The loaded
+    OpenBLAS runs on one thread for the length of the sweep, so the pool is
+    its only parallelism and the output does not depend on the pool width or
+    the BLAS thread setting.
     """
     lo, hi = float(t_range[0]), float(t_range[1])
     if not 0.0 <= lo < hi < np.inf:
@@ -610,7 +612,10 @@ def compute_phase_diagram(
     floor = np.sqrt(np.finfo(float).tiny)
     if axis[0] < floor:
         raise ValidationError(f"sweep hoppings must be >= {floor:.1e}, the first is {axis[0]}")
-    if threads is not None and threads < 1:
+    if threads is None:
+        # the CPUs this process may run on, not ThreadPoolExecutor's I/O default cpu_count + 4
+        threads = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
 
     tL, tR = np.repeat(axis, resolution), np.tile(axis, resolution)

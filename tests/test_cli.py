@@ -1,5 +1,7 @@
 """Config parsing, output files, CLI commands and exit codes."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -20,6 +22,7 @@ from nahn.cli import main
 from nahn.config import config_hash, load_config, parse_kv_text
 from nahn.errors import ValidationError
 from nahn.eigensolve import _openblas_thread_controls, chain_eig
+from nahn.model import BoundaryCondition
 from nahn.output import BLOCK, _sanitize, write_report, write_table
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -43,14 +46,19 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
-def run_in_subprocess(out, args, extra_env):
-    """Bytes that ``python -m nahn ARGS --out OUT`` writes, with every ``*_NUM_THREADS`` but ``extra_env`` unset."""
+def child_env() -> dict:
+    """This environment for a child interpreter, with nahn's source on its path and every ``*_NUM_THREADS`` unset."""
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     src = str(Path(nahn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_in_subprocess(out, args, extra_env):
+    """Bytes that ``python -m nahn ARGS --out OUT`` writes, with every ``*_NUM_THREADS`` but ``extra_env`` unset."""
     proc = subprocess.run(
         [sys.executable, "-m", "nahn", *args, "--out", str(out)],
-        env={**env, **extra_env},
+        env={**child_env(), **extra_env},
         capture_output=True,
         timeout=300,
     )
@@ -160,6 +168,82 @@ class TestConfigParsing:
         a = config_hash({"x": 1, "y": [2, 3]})
         b = config_hash({"y": [2, 3], "x": 1})
         assert a == b and len(a) == 64
+
+
+def sha256_of_canonical(effective: dict) -> str:
+    canonical = json.dumps(effective, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def random_value(rng, depth=0):
+    kind = rng.integers(8 if depth < 3 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return bool(rng.integers(2))
+    if kind == 2:
+        return int(rng.integers(-10**12, 10**12))
+    if kind == 3:
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+    if kind == 4:
+        return "".join(map(chr, rng.integers(32, 0x3000, size=rng.integers(0, 12))))
+    if kind == 5:
+        return BoundaryCondition.OBC  # not JSON: hashed by its str()
+    if kind == 6:
+        return [random_value(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+    return {f"k{rng.integers(100)}": random_value(rng, depth + 1) for _ in range(rng.integers(0, 5))}
+
+
+def run_python(code: str) -> str:
+    """Standard output of ``code`` in a fresh interpreter that can import nahn."""
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestConfigHash:
+    """``config_sha256`` is hashlib's SHA-256 of the canonical JSON, without loading OpenSSL."""
+
+    @pytest.mark.parametrize("recipe", sorted(p.name for p in RECIPES.glob("*.cfg")))
+    @pytest.mark.parametrize("command", sorted(cli.HASHED))
+    def test_recipe_digests_equal_hashlib(self, recipe, command):
+        effective = cli._effective(load_config(RECIPES / recipe), command)
+        assert config_hash(effective) == sha256_of_canonical(effective)
+
+    def test_random_dicts_equal_hashlib(self):
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            effective = {f"k{i}": random_value(rng) for i in range(rng.integers(0, 8))}
+            assert config_hash(effective) == sha256_of_canonical(effective)
+
+    @pytest.mark.skipif(
+        importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+        reason="this interpreter has no built-in SHA-256 module, so config_hash uses hashlib",
+    )
+    def test_commands_do_not_load_openssl(self, tmp_path):
+        # fig1b's plane at 8x8 and chain_N = 20
+        kept = [line for line in (RECIPES / "fig1b.cfg").read_text().splitlines()
+                if not line.startswith(("resolution", "chain_N"))]
+        sweep = write_cfg(tmp_path, "\n".join(kept + ["resolution = 8", "chain_N = 20", ""]))
+        code = (
+            "import sys\n"
+            "from nahn.cli import main\n"
+            f"assert main(['spectrum', '--config', {str(RECIPES / 'fig1c.cfg')!r}, '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+            f"assert main(['phase-diagram', '--config', {str(sweep)!r}, '--out', {str(tmp_path / 'b.csv')!r}]) == 0\n"
+            "print(sorted(name for name in ('_hashlib', 'hashlib') if name in sys.modules))\n"
+        )
+        assert run_python(code).strip() == "[]"
+
+    def test_falls_back_to_hashlib(self):
+        effective = {"command": "spectrum", "model": {"tL": 1.0}, "kpoints": 1024}
+        code = (
+            "import hashlib, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from nahn import config\n"
+            "assert config._sha256 is hashlib.sha256\n"
+            f"print(config.config_hash({effective!r}))\n"
+        )
+        assert run_python(code).strip() == sha256_of_canonical(effective)
 
 
 class TestWriteTable:

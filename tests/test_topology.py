@@ -983,6 +983,27 @@ class TestPhaseDiagram:
         assert np.array_equal(a.nu, b.nu)
         assert np.array_equal(a.gamma, b.gamma)
 
+    @pytest.mark.parametrize("affinity", [True, False], ids=["sched_getaffinity", "cpu_count"])
+    def test_default_pool_width_is_usable_cpus(self, monkeypatch, affinity):
+        # not ThreadPoolExecutor's own default, min(32, cpu_count + 4), which
+        # sizes a pool for I/O and puts extra cells' memory in flight
+        widths = []
+
+        class Pool(topology.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                widths.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(topology, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(topology.os, "cpu_count", lambda: 5)
+        if affinity:
+            monkeypatch.setattr(topology.os, "sched_getaffinity", lambda pid: {0, 2, 3}, raising=False)
+        else:
+            monkeypatch.delattr(topology.os, "sched_getaffinity", raising=False)
+        compute_phase_diagram((0.0, 2.0), 8, chain_N=4)
+        compute_phase_diagram((0.0, 2.0), 8, chain_N=4, threads=2)
+        assert widths == [3 if affinity else 5, 2]
+
     def test_progress_reported_per_row(self):
         seen = []
         compute_phase_diagram(
